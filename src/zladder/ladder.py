@@ -5,13 +5,16 @@ here it is represented by two surrogates:
 
 * an asymptotic model  phi_1(t) = t - (1 - gamma) * li(t), capturing the
   global geometry t - phi_1(t) ~ (1 - gamma) * pi(t) (the separation law);
-* an ODE model whose derivative is exactly Z~^2(t), built by cumulative
-  high-order quadrature from an anchor supplied by the asymptotic model.
+* an ODE model whose derivative is exactly Z~^2(t) and whose value is the
+  running integral of Z~^2 from an anchor supplied by the asymptotic model.
   This is the model under which the Z~^2 change of variables is an identity.
+  Z~^2 is sampled once, when the model is built, into a table of Chebyshev
+  panels (dense output in the sense of Hairer, Norsett and Wanner, Solving
+  ODEs I, II.6); values and inversion are then answered from that table.
 
 Both models are strictly monotone (the ODE model non-strictly at the isolated
-zeros of Z), immutable after construction, and invertible by bisection plus
-Newton polish.
+zeros of Z), immutable after construction, and invertible by safeguarded
+Newton on a shrinking bracket.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from numpy.polynomial import chebyshev as _cheb
 from scipy.special import expi
 
 from . import rscore
@@ -27,22 +32,35 @@ from .intervals import IntervalCollection
 
 EULER_GAMMA = float(np.euler_gamma)
 
-# Gauss-Legendre 7 on [-1, 1]: for panels up to 0.125 wide the quadrature
-# error on Z~^2 (oscillation rate ~ln(t/2pi) rad per unit) is below 1e-15,
-# so the cumulative table and the partial panels agree to rounding.
-_GL7_NODES = np.array([
-    -0.949107912342759, -0.741531185599394, -0.405845151377397, 0.0,
-    0.405845151377397, 0.741531185599394, 0.949107912342759,
-])
-_GL7_WEIGHTS = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-    0.381830050505119, 0.279705391489277, 0.129484966168870,
-])
+# Chebyshev panels of the ODE ladder.  Z~^2 = Z^2 / ln t is a sum of
+# oscillations of frequency at most 2 ln N rad per unit, N = floor(sqrt(t/2pi)):
+# each Riemann-Siegel term of Z turns at theta'(t) - ln n, in [0, ln N].  At
+# T_MAX = 1e8 (ln N = 8.3) that is 16.6 rad per unit, so on a panel of width
+# 0.25 a term sweeps at most w = 2.1 rad over the half-width x in [-1, 1].  The
+# Chebyshev coefficients of cos(w x + c) decay like 2 (w/2)^k / k!, which at
+# degree 14 leaves a dropped tail near 1e-12 of the spectral amplitude.  The
+# 15 Chebyshev-Lobatto samples per panel share endpoints with the neighbours,
+# so the table costs 14 Z points per panel, 56 per unit.
+PANEL_WIDTH = 0.25
+PANEL_DEGREE = 14
+
+_k = np.arange(PANEL_DEGREE + 1)
+#: Chebyshev-Lobatto nodes cos(k pi / n), k = n..0: ascending from -1 to 1.
+_LOBATTO = np.cos(np.pi * _k[::-1] / PANEL_DEGREE)
+_halve = np.where((_k == 0) | (_k == PANEL_DEGREE), 0.5, 1.0)
+#: Samples at _LOBATTO -> Chebyshev coefficients of the interpolant (DCT-I).
+_SAMPLES_TO_COEF = (2.0 / PANEL_DEGREE) * _halve[:, None] \
+    * np.cos(np.pi * np.outer(_k, _k[::-1]) / PANEL_DEGREE) * _halve[None, :]
+#: Chebyshev coefficients -> coefficients of the antiderivative vanishing at -1.
+_COEF_TO_INTEGRAL = _cheb.chebint(np.eye(PANEL_DEGREE + 1), lbnd=-1, axis=0)
 
 
 class LadderRangeError(ValueError):
     """Requested point falls outside a ladder model's validated range."""
+
+
+class LadderConvergenceError(ArithmeticError):
+    """Ladder inversion ran out of rounds before every point converged."""
 
 
 def euler_constant() -> float:
@@ -135,10 +153,13 @@ class LadderModel:
     def invert(self, y, tol: float = 1e-10, max_iter: int = 80):
         """Monotone inversion: return t with eval(t) = y (scalar or array).
 
-        Safeguarded Newton on a shrinking bracket: where the derivative is
-        bounded away from zero the iteration converges in a handful of
-        evaluations; near zeros of the derivative it degrades to bisection.
-        Only the still-unconverged subset is evaluated each round.
+        Safeguarded Newton on a shrinking bracket: where the slope is bounded
+        away from zero the iteration converges in a handful of evaluations;
+        near zeros of the slope it degrades to bisection.  Only the
+        still-unconverged subset is evaluated each round.  A point has
+        converged when its bracket is within ``tol`` or down to two adjacent
+        doubles, or when Newton has pinned the residual; a point still open
+        after ``max_iter`` rounds raises LadderConvergenceError.
         """
         y_arr = np.atleast_1d(np.asarray(y, dtype=float))
         flo = float(np.asarray(self.eval(np.array([self.lo])))[0])
@@ -159,11 +180,12 @@ class LadderModel:
             above = ft > 0
             b[active] = np.where(above, ta, b[active])
             a[active] = np.where(above, a[active], ta)
-            d = np.asarray(self.deriv(ta))
+            d = np.asarray(self._slope(ta))
             width = b[active] - a[active]
-            # converged when the bracket is tight or Newton has pinned the
-            # residual and the local slope bounds the remaining t error
-            done = (width <= tol) | (
+            # converged when the bracket is tight (at large t, adjacent doubles
+            # can be further apart than tol), or Newton has pinned the residual
+            # and the local slope bounds the remaining t error
+            done = (width <= tol) | (b[active] <= np.nextafter(a[active], np.inf)) | (
                 (d > 1e-8) & (np.abs(ft) <= np.maximum(0.01 * tol * d, ftol[active])))
             step = np.where(d > 1e-8, ft / np.where(d > 1e-8, d, 1.0), 0.0)
             nxt = ta - step
@@ -173,7 +195,16 @@ class LadderModel:
             active = active[~done]
             if active.size == 0:
                 break
+        else:
+            raise LadderConvergenceError(
+                f"{active.size} of {len(y_arr)} points unconverged after "
+                f"{max_iter} rounds"
+            )
         return t if np.asarray(y).ndim else float(t[0])
+
+    def _slope(self, t):
+        """Newton slope for invert: d eval / dt."""
+        return self.deriv(t)
 
     def _initial_bracket(self, y_arr):
         return np.full_like(y_arr, self.lo), np.full_like(y_arr, self.hi)
@@ -205,19 +236,21 @@ class AsymptoticLadder(LadderModel):
 
 
 class OdeLadder(LadderModel):
-    """Model with deriv(t) = Z~^2(t) exactly and eval built by cumulative
-    Gauss-Kronrod quadrature from an anchor value.
+    """Model with deriv(t) = Z~^2(t) exactly and eval(t) = anchor value plus
+    the integral of Z~^2 from the anchor.
 
-    Checkpoints at fixed spacing carry exact running integrals (accumulated in
-    extended precision); eval(t) adds a 7-point Gauss partial panel from the
-    nearest checkpoint below t, so eval and deriv are mutually consistent to
-    panel quadrature accuracy (~1e-12 absolute over desk-scale spans).
+    The build samples Z~^2 once on a table of Chebyshev panels (PANEL_WIDTH
+    wide, degree PANEL_DEGREE) and stores each panel's interpolant.  Panel
+    integrals come from the same coefficients (Clenshaw-Curtis) and are
+    accumulated in extended precision into checkpoint values; eval adds the
+    closed-form integral of the interpolant from the panel start.  eval and
+    the inversion slope make no Z evaluation; deriv evaluates Z~^2 itself.
     """
 
     kind = "ode"
 
     def __init__(self, anchor_t: float, span: float, anchor_value: float,
-                 rs_cfg: rscore.RSConfig = rscore.RSConfig(), step: float = 0.125):
+                 rs_cfg: rscore.RSConfig = rscore.RSConfig()):
         if span <= 0:
             raise ValueError("span must be positive")
         if anchor_t < rscore.T_MIN:
@@ -226,13 +259,20 @@ class OdeLadder(LadderModel):
         self.hi = float(anchor_t + span)
         self.anchor = (float(anchor_t), float(anchor_value))
         self._rs_cfg = rs_cfg
-        n = int(math.ceil(span / step))
+        n = int(math.ceil(span / PANEL_WIDTH))
         self._cp_t = np.linspace(self.lo, self.hi, n + 1)
-        mids = 0.5 * (self._cp_t[:-1] + self._cp_t[1:])
-        hws = 0.5 * np.diff(self._cp_t)
-        pts = mids[:, None] + hws[:, None] * _GL7_NODES[None, :]
-        vals = self._f(pts.ravel()).reshape(pts.shape)
-        panel = (vals @ _GL7_WEIGHTS) * hws
+        self._mid = 0.5 * (self._cp_t[:-1] + self._cp_t[1:])
+        self._hw = 0.5 * np.diff(self._cp_t)
+        # with n = PANEL_DEGREE, panel i's samples are nodes[n i : n (i + 1) + 1]:
+        # neighbours share the checkpoint between them
+        nodes = np.append(
+            (self._mid[:, None] + self._hw[:, None] * _LOBATTO[:-1]).ravel(), self.hi)
+        nodes[::PANEL_DEGREE] = self._cp_t
+        vals = sliding_window_view(self._f(nodes), PANEL_DEGREE + 1)[::PANEL_DEGREE]
+        # rows are coefficient orders, columns panels
+        self._coef = _SAMPLES_TO_COEF @ vals.T
+        self._integral = _COEF_TO_INTEGRAL @ self._coef
+        panel = self._integral.sum(axis=0) * self._hw  # antiderivative at x = 1
         cum = np.cumsum(panel.astype(np.longdouble))
         self._cp_phi = float(anchor_value) + np.concatenate(
             [[0.0], cum.astype(float)]
@@ -241,19 +281,18 @@ class OdeLadder(LadderModel):
     def _f(self, t):
         return rscore.z_tilde_sq_many(t, self._rs_cfg)
 
-    def eval(self, t):
-        scalar = np.asarray(t).ndim == 0
-        t = self._check_range(t)
-        t = np.clip(t, self.lo, self.hi)
+    def _locate(self, t):
+        """Panel index and local coordinate x in [-1, 1] of each t."""
+        t = np.clip(self._check_range(t), self.lo, self.hi)
         idx = np.clip(np.searchsorted(self._cp_t, t, side="right") - 1, 0,
                       len(self._cp_t) - 2)
-        base_t = self._cp_t[idx]
-        mid = 0.5 * (base_t + t)
-        hw = 0.5 * (t - base_t)
-        pts = mid[:, None] + hw[:, None] * _GL7_NODES[None, :]
-        vals = self._f(pts.ravel()).reshape(pts.shape)
-        partial = (vals @ _GL7_WEIGHTS) * hw
-        out = self._cp_phi[idx] + partial
+        return idx, (t - self._mid[idx]) / self._hw[idx]
+
+    def eval(self, t):
+        scalar = np.asarray(t).ndim == 0
+        idx, x = self._locate(t)
+        out = self._cp_phi[idx] + self._hw[idx] * _cheb.chebval(
+            x, self._integral[:, idx], tensor=False)
         return float(out[0]) if scalar else out
 
     def deriv(self, t):
@@ -261,6 +300,11 @@ class OdeLadder(LadderModel):
         t = self._check_range(t)
         out = self._f(t)
         return float(out[0]) if scalar else out
+
+    def _slope(self, t):
+        # the interpolant of Z~^2, which is exactly d eval / dt
+        idx, x = self._locate(t)
+        return _cheb.chebval(x, self._coef[:, idx], tensor=False)
 
     def _initial_bracket(self, y_arr):
         # checkpoints are monotone nondecreasing, so they bracket the preimage
@@ -275,11 +319,10 @@ def ladder_asymptotic(lo: float, hi: float) -> AsymptoticLadder:
 
 
 def ladder_ode(anchor_t: float, span: float, seed_model: LadderModel,
-               rs_cfg: rscore.RSConfig = rscore.RSConfig(),
-               step: float = 0.125) -> OdeLadder:
+               rs_cfg: rscore.RSConfig = rscore.RSConfig()) -> OdeLadder:
     """ODE ladder on [anchor_t, anchor_t + span], anchored to the seed model."""
     anchor_value = float(np.asarray(seed_model.eval(np.array([anchor_t])))[0])
-    return OdeLadder(anchor_t, span, anchor_value, rs_cfg, step)
+    return OdeLadder(anchor_t, span, anchor_value, rs_cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,8 @@ def _integrate_panels(f, panels, total_width, q: QuadSpec) -> QuadratureOutcome:
     run stops as soon as the summed error estimate meets the global tolerance,
     which keeps floating-point jitter in the integrand from forcing unbounded
     subdivision.  Panels are re-sorted by position for the final reduction, so
-    the outcome does not depend on the subdivision history order.
+    the outcome does not depend on the subdivision history order.  A
+    generation with a non-finite panel value raises QuadratureError.
     """
     evaluations = 0
     subdivisions = 0
@@ -146,6 +147,11 @@ def _integrate_panels(f, panels, total_width, q: QuadSpec) -> QuadratureOutcome:
         depths = [p[2] for p in pending]
         k15, errs, n_evals = _panel_estimates(f, los, his)
         evaluations += n_evals
+        finite = np.isfinite(k15)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise QuadratureError(
+                f"integrand not finite on panel [{los[i]!r}, {his[i]!r}]")
         live.extend(
             (los[i], his[i], depths[i], k15[i], errs[i]) for i in range(len(pending))
         )

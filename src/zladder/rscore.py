@@ -211,10 +211,13 @@ def hardy_z_many(t, cfg: RSConfig = RSConfig(), max_chunk_elems: int = 8_000_000
 
     Evaluates the Riemann-Siegel main sum 2 * sum_{n <= N} cos(theta - t ln n)/sqrt(n)
     with N = floor(sqrt(t/2pi)), plus ``cfg.correction_terms`` remainder terms.
+    Raises ValueError on non-finite t.
     """
     t = np.asarray(t, dtype=float)
     if t.size == 0:
         return np.empty(0)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("hardy_z fast path requires finite t")
     if np.any(t < T_MIN):
         raise ValueError(f"hardy_z fast path requires t >= {T_MIN}")
     a = np.sqrt(t / TWO_PI)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from zladder import harness
+from zladder import harness, rscore
 from zladder.cli import run_cli
 from zladder.harness import (
     EQ_TAGS,
@@ -140,6 +140,25 @@ def test_verify_theorem_small_window_substitution_exact():
     assert by_id["theorem.g2-substitution"].verdict == "pass"
     for r in reports:
         assert r.paper_eq in EQ_TAGS
+
+
+def test_ode_ladder_calls_no_kernel_after_build(monkeypatch):
+    ctx = harness.ExperimentContext(ExperimentConfig(**SMALL))
+    kernel = rscore.hardy_z_many
+    points = []
+
+    def counting(t, *args, **kwargs):
+        points.append(np.size(t))
+        return kernel(t, *args, **kwargs)
+
+    monkeypatch.setattr(rscore, "hardy_z_many", counting)
+    m = ctx.ode
+    ts = np.linspace(m.lo, m.hi, 1001)
+    m.invert(m.eval(ts)[1:-1])
+    ctx.mirrored(ctx.g1)
+    assert sum(points) == 0
+    ctx.pushforward_z(ts)
+    assert sum(points) == 2 * ts.size
 
 
 def test_verify_corollaries_small_window():

@@ -10,8 +10,12 @@ from zladder.gridsets import WindowSpec, build_g1
 from zladder.intervals import IntervalCollection
 from zladder.ladder import (
     EULER_GAMMA,
+    PANEL_DEGREE,
+    PANEL_WIDTH,
+    LadderConvergenceError,
     LadderModel,
     LadderRangeError,
+    OdeLadder,
     PrimeCounter,
     TabulatedLadder,
     euler_constant,
@@ -178,6 +182,39 @@ def test_inverse_consistency(ode_small):
     # scalar round trip
     t0 = 0.5 * (m.lo + m.hi)
     assert m.invert(m.eval(t0)) == pytest.approx(t0, abs=1e-6)
+
+
+@pytest.mark.parametrize("T", [1.03e6, 1e7, 9.9e7])
+def test_ode_panel_table_matches_kernel(T):
+    # The table interpolates Z~^2 sampled at the rounded nodes mid + hw * x_j,
+    # so its gap to the kernel is bounded by two terms:
+    # * node rounding, at most ulp(t)/2 per sample, times max|dZ~^2/dt|, times
+    #   the Lebesgue constant of the 15 Chebyshev-Lobatto nodes (below 2.7):
+    #   at most 2 ulp(t) max|dZ~^2/dt|;
+    # * Chebyshev truncation: Z~^2 is a sum of cosines with l1 amplitude at most
+    #   A = (2 sum_{n<=N} n^(-1/2))^2 / ln t and frequency at most 2 ln N, so
+    #   at most w = ln N * PANEL_WIDTH rad over a half-panel; the interpolation
+    #   error is then below 4 A sum_{k > degree} (w/2)^k / k!.
+    m = OdeLadder(T, 3.0, 0.0)
+    rng = np.random.default_rng([20240817, int(T)])
+    ts = T + 0.1 + 2.8 * rng.random(200)
+    gap = np.abs(m._slope(ts) - rscore.z_tilde_sq_many(ts))
+    fine = np.arange(T, T + 3.0, 1e-3)
+    max_fprime = np.abs(np.gradient(rscore.z_tilde_sq_many(fine), 1e-3)).max()
+    top = T + 3.0
+    N = math.floor(math.sqrt(top / (2 * math.pi)))
+    A = (2.0 * np.sum(np.arange(1, N + 1) ** -0.5)) ** 2 / math.log(T)
+    w = math.log(N) * PANEL_WIDTH
+    tail = 4.0 * A * sum((w / 2) ** k / math.factorial(k)
+                         for k in range(PANEL_DEGREE + 1, PANEL_DEGREE + 30))
+    assert gap.max() <= 2.0 * np.spacing(top) * max_fprime + tail
+
+
+def test_invert_raises_when_rounds_run_out():
+    m = ladder_asymptotic(10.0, 2e6)
+    with pytest.raises(LadderConvergenceError):
+        m.invert(1e6 + 123.456, max_iter=2)
+    assert issubclass(LadderConvergenceError, ArithmeticError)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from zladder.gridsets import WindowSpec, build_g1
 from zladder.intervals import IntervalCollection
 from zladder.ladder import ladder_asymptotic
 from zladder.quadrature import (
+    QuadratureError,
     QuadSpec,
     integrate_collection,
     integrate_interval,
@@ -77,6 +78,18 @@ def test_max_depth_exhaustion_flagged():
     out = integrate_interval(f, 0.0, 1.0, QuadSpec(rel_tol=1e-15, abs_tol=1e-15, max_depth=4))
     assert not out.converged
     assert out.error_estimate > 1e-15
+
+
+def test_non_finite_integrand_raises_after_one_generation():
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.where(x < 0.5, np.nan, 1.0)
+
+    with pytest.raises(QuadratureError):
+        integrate_interval(f, 0.0, 1.0, QuadSpec(max_depth=10))
+    assert len(calls) == 1
 
 
 def test_error_estimate_honesty():

@@ -100,6 +100,12 @@ def test_hardy_z_fast_path_rejects_below_t_min():
         hardy_z(99.0)
 
 
+@pytest.mark.parametrize("t", [[math.inf], [math.nan], [1e6, math.inf], [1e6, math.nan]])
+def test_hardy_z_many_rejects_non_finite(t):
+    with pytest.raises(ValueError):
+        hardy_z_many(np.array(t))
+
+
 def test_hardy_z_matches_oracle_spot_checks():
     # remainder truncation shrinks like t^(-5/4); tolerances follow it
     for t, tol in ((1e3, 3e-5), (3.7e4, 5e-7), (1e6, 5e-9)):
