@@ -16,7 +16,6 @@ from .intervals import IntervalCollection
 from .ladder import (
     LadderModel,
     PrimeCounter,
-    euler_constant,
     ladder_asymptotic,
     ladder_ode,
     mirror_collection,
@@ -29,12 +28,10 @@ from .quadrature import (
     QuadratureOutcome,
     integrate_collection,
     integrate_interval,
-    transform_residual,
 )
 from .rscore import (
     HiPrecOracle,
     RSConfig,
-    ThetaExpansion,
     hardy_z,
     hardy_z_many,
     hardy_z_oracle,

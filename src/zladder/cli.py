@@ -10,43 +10,42 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from . import harness, ladder as ladder_mod, rscore
+from . import harness, ladder as ladder_mod
 from .gridsets import build_g1, build_g2, grid_range
 from .harness import ExperimentConfig, ExperimentContext
 from .quadrature import integrate_collection
 
 
+#: The flags every subcommand accepts: (flag, config key, type).
+_COMMON_FLAGS = (
+    ("--T", "T", float),
+    ("--eps", "epsilon", float),
+    ("--H", "H_override", float),
+    ("--x", "x", float),
+    ("--y", "y", float),
+    ("--ladder", "ladder_kind", str),
+    ("--rel-tol", "rel_tol", float),
+    ("--abs-tol", "abs_tol", float),
+    ("--correction-terms", "correction_terms", int),
+    ("--out", "output_dir", str),
+)
+
+
 def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", type=str, default=None, help="key = value config file")
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None, dest="epsilon")
-    p.add_argument("--H", type=float, default=None, dest="H_override")
-    p.add_argument("--x", type=float, default=None)
-    p.add_argument("--y", type=float, default=None)
-    p.add_argument("--ladder", type=str, default=None, dest="ladder_kind",
-                   choices=("asymptotic", "ode"))
-    p.add_argument("--rel-tol", type=float, default=None, dest="rel_tol")
-    p.add_argument("--abs-tol", type=float, default=None, dest="abs_tol")
-    p.add_argument("--correction-terms", type=int, default=None, dest="correction_terms")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", type=str, default=None, dest="output_dir")
+    for flag, key, kind in _COMMON_FLAGS:
+        choices = ("asymptotic", "ode") if key == "ladder_kind" else None
+        p.add_argument(flag, type=kind, default=None, dest=key, choices=choices)
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    overrides = {
-        k: getattr(args, k, None)
-        for k in ("T", "epsilon", "H_override", "x", "y", "ladder_kind",
-                  "rel_tol", "abs_tol", "correction_terms", "seed", "output_dir")
-    }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
+    overrides = {key: getattr(args, key) for _, key, _ in _COMMON_FLAGS
+                 if getattr(args, key) is not None}
     if args.config:
         return harness.config_from_file(args.config, overrides)
     return harness._config_from_strings(overrides)
@@ -92,8 +91,7 @@ def _cmd_gsets(args) -> int:
 
 def _cmd_ladder(args) -> int:
     cfg = _config_from_args(args)
-    ctx = ExperimentContext(cfg, need_mirror=(cfg.ladder_kind == "ode"))
-    model = ctx.ladder
+    model = ExperimentContext(cfg).ladder
     path = Path(cfg.output_dir) / f"ladder-{model.kind}.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
     ladder_mod.save_ladder_csv(model, path, step=1.0)
@@ -104,7 +102,7 @@ def _cmd_ladder(args) -> int:
 def _cmd_integrate(args) -> int:
     cfg = _config_from_args(args)
     t0 = time.time()
-    ctx = ExperimentContext(cfg, need_mirror=False)
+    ctx = ExperimentContext(cfg)
     coll = ctx.g1 if args.set == "g1" else ctx.g2
     out = integrate_collection(ctx.z, coll, cfg.quad, initial_cuts=ctx.grid_cuts)
     sgn = 1.0 if args.set == "g1" else -1.0
@@ -116,25 +114,21 @@ def _cmd_integrate(args) -> int:
     return 0
 
 
-def _cmd_verify_theorem(args) -> int:
+#: Verification subcommands and the harness function each runs.  The name is
+#: looked up on the harness module at call time, so a replaced function is the
+#: one that runs.
+_VERIFY = {
+    "verify-theorem": "verify_theorem",
+    "verify-corollaries": "verify_corollaries",
+    "sign-area": "verify_sign_area",
+}
+
+
+def _cmd_verify(args) -> int:
     cfg = _config_from_args(args)
     t0 = time.time()
-    reports = harness.verify_theorem(cfg)
-    return _finish(cfg, reports, t0, "verify-theorem")
-
-
-def _cmd_verify_corollaries(args) -> int:
-    cfg = _config_from_args(args)
-    t0 = time.time()
-    reports = harness.verify_corollaries(cfg)
-    return _finish(cfg, reports, t0, "verify-corollaries")
-
-
-def _cmd_sign_area(args) -> int:
-    cfg = _config_from_args(args)
-    t0 = time.time()
-    reports = harness.verify_sign_area(cfg)
-    return _finish(cfg, reports, t0, "sign-area")
+    reports = getattr(harness, _VERIFY[args.command])(cfg)
+    return _finish(cfg, reports, t0, args.command)
 
 
 def _cmd_scan_shape(args) -> int:
@@ -172,19 +166,16 @@ def run_cli(argv=None) -> int:
         "grid": _cmd_grid,
         "gsets": _cmd_gsets,
         "ladder": _cmd_ladder,
-        "verify-theorem": _cmd_verify_theorem,
-        "verify-corollaries": _cmd_verify_corollaries,
-        "sign-area": _cmd_sign_area,
+        "integrate": _cmd_integrate,
+        **dict.fromkeys(_VERIFY, _cmd_verify),
         "scan-shape": _cmd_scan_shape,
         "report": _cmd_report,
     }
     for name in handlers:
         p = sub.add_parser(name)
         _add_common_flags(p)
-    p_int = sub.add_parser("integrate")
-    _add_common_flags(p_int)
-    p_int.add_argument("--set", choices=("g1", "g2"), default="g1")
-    handlers["integrate"] = _cmd_integrate
+        if name == "integrate":
+            p.add_argument("--set", choices=("g1", "g2"), default="g1")
 
     try:
         args = parser.parse_args(argv)

@@ -12,6 +12,7 @@ from the default experiment window and frozen below.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import time
@@ -24,9 +25,9 @@ from . import ladder as ladder_mod
 from . import rscore
 from .gridsets import WindowSpec, build_g1, build_g2, grid_range, sign_partition
 from .intervals import IntervalCollection
-from .quadrature import QuadSpec, integrate_collection, transform_check
+from .quadrature import QuadSpec, integrate_collection
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 #: Closed vocabulary of equation tags a report may cite.
 EQ_TAGS = ("1.5", "1.6", "1.8", "2.1", "C2", "3.2", "4.1", "4.2", "4.4", "4.5")
@@ -55,7 +56,6 @@ class ExperimentConfig:
     quad: QuadSpec = field(
         default_factory=lambda: QuadSpec(rel_tol=1e-7, abs_tol=1e-5))
     rs: rscore.RSConfig = field(default_factory=rscore.RSConfig)
-    seed: int = 0
     output_dir: str = "out"
 
     def __post_init__(self):
@@ -70,8 +70,7 @@ class ExperimentConfig:
         return WindowSpec(self.T, self.epsilon, self.H_override)
 
     def snapshot(self) -> dict:
-        d = dataclasses.asdict(self)
-        return d
+        return dataclasses.asdict(self)
 
 
 def config_from_file(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -99,11 +98,7 @@ def _config_from_strings(values: dict) -> ExperimentConfig:
             kw[key] = float(val)
         elif key == "H_override":
             kw[key] = None if str(val).lower() in ("none", "") else float(val)
-        elif key == "ladder_kind":
-            kw[key] = str(val)
-        elif key == "seed":
-            kw[key] = int(val)
-        elif key == "output_dir":
+        elif key in ("ladder_kind", "output_dir"):
             kw[key] = str(val)
         elif key in ("rel_tol", "abs_tol"):
             quad_kw[key] = float(val)
@@ -111,8 +106,6 @@ def _config_from_strings(values: dict) -> ExperimentConfig:
             quad_kw[key] = int(val)
         elif key == "correction_terms":
             rs_kw[key] = int(val)
-        elif key == "summation_mode":
-            rs_kw[key] = str(val)
         else:
             raise ValueError(f"unknown config key {key!r}")
     if quad_kw:
@@ -138,17 +131,19 @@ class VerificationReport:
             raise ValueError(f"equation tag {self.paper_eq!r} not in vocabulary")
         if self.verdict not in ("pass", "fail", "informative"):
             raise ValueError(f"bad verdict {self.verdict!r}")
-        if self.verdict != "informative":
-            ok = abs(self.measured - self.predicted) <= self.tolerance
-            if (self.verdict == "pass") != ok:
-                raise ValueError("verdict inconsistent with measured/tolerance")
+        if self.verdict != "informative" and self.verdict != _verdict(
+                self.measured, self.predicted, self.tolerance, self.metadata):
+            raise ValueError("verdict inconsistent with measured/tolerance")
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
 
 
-def _verdict(measured, predicted, tolerance) -> str:
-    return "pass" if abs(measured - predicted) <= tolerance else "fail"
+def _verdict(measured, predicted, tolerance, metadata=None) -> str:
+    """pass when |measured - predicted| <= tolerance, unless the metadata
+    says an integral behind the row did not converge."""
+    converged = (metadata or {}).get("converged") is not False
+    return "pass" if converged and abs(measured - predicted) <= tolerance else "fail"
 
 
 def mean_value_budget(cfg: ExperimentConfig) -> float:
@@ -161,44 +156,40 @@ def mean_value_budget(cfg: ExperimentConfig) -> float:
 # ---------------------------------------------------------------------------
 
 class ExperimentContext:
-    """Grid sets, ladder models, and integrands shared by the experiments."""
+    """Grid sets, ladder models and integrands shared by the experiments.
 
-    def __init__(self, cfg: ExperimentConfig, need_mirror: bool = True):
+    The context owns everything derived from them: the ODE ladder, each
+    mirrored collection, each mirrored integral and the clipped mirrored union
+    are computed on first use and then reused by every experiment.
+    """
+
+    def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.w = cfg.window
         self.g1 = build_g1(self.w, cfg.x)
         self.g2 = build_g2(self.w, cfg.y)
         self.grid_cuts = np.array([g.t for g in grid_range(self.w)])
         self.asym = ladder_mod.ladder_asymptotic(10.0, 4.0 * cfg.T + 1e6)
-        self.ode = None
-        if need_mirror:
-            self._build_ode()
+        self._mirrors: dict = {}
+        self._mirrored_integrals: dict = {}
 
     def z(self, ts):
         return rscore.hardy_z_many(np.asarray(ts, dtype=float), self.cfg.rs)
 
-    def z_tilde_sq(self, ts):
-        return rscore.z_tilde_sq_many(np.asarray(ts, dtype=float), self.cfg.rs)
-
-    def _hull(self):
-        los = [self.w.T]
-        his = [self.w.T + self.w.H]
-        for c in (self.g1, self.g2):
-            if len(c):
-                los.append(c.intervals[0][0])
-                his.append(c.intervals[-1][1])
-        return min(los), max(his)
-
-    def _build_ode(self, margin: float = 3.0):
-        lo_hull, hi_hull = self._hull()
+    @functools.cached_property
+    def ode(self) -> ladder_mod.OdeLadder:
+        """ODE ladder whose image covers the window and both G sets with a
+        margin of 3; built on first use."""
+        margin = 3.0
+        sets = [c for c in (self.g1, self.g2) if len(c)]
+        lo_hull = min([self.w.T] + [c.intervals[0][0] for c in sets])
+        hi_hull = max([self.w.T + self.w.H] + [c.intervals[-1][1] for c in sets])
         anchor_t = self.asym.invert(lo_hull - margin)
         span = (hi_hull + margin - lo_hull + 2 * margin) / 0.85
         for _ in range(6):
             ode = ladder_mod.ladder_ode(anchor_t, span, self.asym, self.cfg.rs)
-            top = ode.eval(ode.hi)
-            if top >= hi_hull + margin:
-                self.ode = ode
-                return
+            if ode.eval(ode.hi) >= hi_hull + margin:
+                return ode
             span *= 1.3
         raise RuntimeError("ODE ladder failed to cover the mirrored window")
 
@@ -207,7 +198,25 @@ class ExperimentContext:
         return self.ode if self.cfg.ladder_kind == "ode" else self.asym
 
     def mirrored(self, c: IntervalCollection) -> IntervalCollection:
-        return ladder_mod.mirror_collection(self.ladder, c)
+        """The mirror of c under the context's ladder, computed once per c."""
+        if c not in self._mirrors:
+            self._mirrors[c] = ladder_mod.mirror_collection(self.ladder, c)
+        return self._mirrors[c]
+
+    def mirrored_integral(self, c: IntervalCollection):
+        """The pushforward integral over the mirror of c, computed once per c."""
+        if c not in self._mirrored_integrals:
+            self._mirrored_integrals[c] = integrate_collection(
+                self.pushforward_z, self.mirrored(c), self.cfg.quad)
+        return self._mirrored_integrals[c]
+
+    @functools.cached_property
+    def mirrored_union(self) -> IntervalCollection:
+        """Mirrored G1 and G2 merged into one collection.  Adjacent G1/G2
+        endpoints solve the same grid equation, so overlaps up to solver noise
+        are clipped."""
+        return self.mirrored(self.g1).union(
+            self.mirrored(self.g2), clip_tol=1e-8 * self.w.T)
 
     def pushforward_z(self, ts):
         """Z(phi_1(t)) * Z~^2(t), the mirrored-side integrand."""
@@ -219,6 +228,16 @@ class ExperimentContext:
 # experiments
 # ---------------------------------------------------------------------------
 
+def _context(cfg: ExperimentConfig, ctx: ExperimentContext | None) -> ExperimentContext:
+    """ctx, or a new context for cfg; a context of another config is refused
+    rather than mixed with cfg."""
+    if ctx is None:
+        return ExperimentContext(cfg)
+    if ctx.cfg != cfg:
+        raise ValueError("ctx was built from a different ExperimentConfig")
+    return ctx
+
+
 def _quad_meta(outcome) -> dict:
     return {
         "evaluations": outcome.evaluations,
@@ -229,57 +248,47 @@ def _quad_meta(outcome) -> dict:
 
 def verify_theorem(cfg: ExperimentConfig, ctx: ExperimentContext | None = None) -> list[VerificationReport]:
     """Direct and mirrored mean-value integrals plus the substitution residual."""
-    ctx = ctx or ExperimentContext(cfg)
+    ctx = _context(cfg, ctx)
     H = ctx.w.H
     budget = mean_value_budget(cfg)
     q = cfg.quad
     reports = []
-
-    direct = {}
-    mirrored = {}
     for name, coll, sgn, amp in (
         ("g1", ctx.g1, 1.0, math.sin(cfg.x)),
         ("g2", ctx.g2, -1.0, math.sin(cfg.y)),
     ):
         pred = sgn * 2.0 / math.pi * H * amp
         out = integrate_collection(ctx.z, coll, q, initial_cuts=ctx.grid_cuts)
-        direct[name] = out
-        reports.append(VerificationReport(
-            experiment_id=f"theorem.{name}-direct",
-            measured=out.value, predicted=pred,
-            error_estimate=out.error_estimate, paper_eq="4.5",
-            verdict=_verdict(out.value, pred, budget), tolerance=budget,
-            metadata=_quad_meta(out),
-        ))
-        mcoll = ctx.mirrored(coll)
-        mout = integrate_collection(ctx.pushforward_z, mcoll, q)
-        mirrored[name] = mout
-        reports.append(VerificationReport(
-            experiment_id=f"theorem.{name}-mirrored",
-            measured=mout.value, predicted=pred,
-            error_estimate=mout.error_estimate, paper_eq="1.5",
-            verdict=_verdict(mout.value, pred, budget), tolerance=budget,
-            metadata=_quad_meta(mout),
-        ))
+        mout = ctx.mirrored_integral(coll)
+        for kind, o, eq in (("direct", out, "4.5"), ("mirrored", mout, "1.5")):
+            meta = _quad_meta(o)
+            reports.append(VerificationReport(
+                experiment_id=f"theorem.{name}-{kind}",
+                measured=o.value, predicted=pred,
+                error_estimate=o.error_estimate, paper_eq=eq,
+                verdict=_verdict(o.value, pred, budget, meta),
+                tolerance=budget, metadata=meta,
+            ))
         resid = abs(out.value - mout.value)
         rtol = SUBSTITUTION_SLACK * (out.tolerance(q) + mout.tolerance(q))
+        meta = {"converged": out.converged and mout.converged}
         reports.append(VerificationReport(
             experiment_id=f"theorem.{name}-substitution",
             measured=resid, predicted=0.0,
             error_estimate=out.error_estimate + mout.error_estimate,
-            paper_eq="4.4", verdict=_verdict(resid, 0.0, rtol), tolerance=rtol,
+            paper_eq="4.4", verdict=_verdict(resid, 0.0, rtol, meta), tolerance=rtol,
+            metadata=meta,
         ))
     return reports
 
 
 def verify_corollaries(cfg: ExperimentConfig, ctx: ExperimentContext | None = None) -> list[VerificationReport]:
     """Union/difference integrals over the mirrored sets, and coverage."""
-    ctx = ctx or ExperimentContext(cfg)
+    ctx = _context(cfg, ctx)
     H = ctx.w.H
-    q = cfg.quad
     budget = mean_value_budget(cfg)
-    m1 = integrate_collection(ctx.pushforward_z, ctx.mirrored(ctx.g1), q)
-    m2 = integrate_collection(ctx.pushforward_z, ctx.mirrored(ctx.g2), q)
+    m1 = ctx.mirrored_integral(ctx.g1)
+    m2 = ctx.mirrored_integral(ctx.g2)
     reports = []
 
     union = m1.value + m2.value
@@ -291,12 +300,13 @@ def verify_corollaries(cfg: ExperimentConfig, ctx: ExperimentContext | None = No
     else:
         tol = budget
         pred = 2.0 / math.pi * (math.sin(cfg.x) - math.sin(cfg.y)) * H
+    meta = _quad_meta(m1.combine(m2))
     reports.append(VerificationReport(
         experiment_id="corollary.union",
         measured=union, predicted=pred,
         error_estimate=m1.error_estimate + m2.error_estimate,
-        paper_eq="2.1", verdict=_verdict(union, pred, tol), tolerance=tol,
-        metadata=_quad_meta(m1.combine(m2)),
+        paper_eq="2.1", verdict=_verdict(union, pred, tol, meta), tolerance=tol,
+        metadata=meta,
     ))
 
     diff = m1.value - m2.value
@@ -311,11 +321,8 @@ def verify_corollaries(cfg: ExperimentConfig, ctx: ExperimentContext | None = No
     ))
 
     if at_half_pi:
-        # closure of the mirrored union must cover [T-ring, (T+H)-ring];
-        # adjacent G1/G2 endpoints solve the same grid equation, so allow
-        # solver-noise overlaps when merging
-        merged = ctx.mirrored(ctx.g1).union(
-            ctx.mirrored(ctx.g2), clip_tol=1e-8 * ctx.w.T)
+        # closure of the mirrored union must cover [T-ring, (T+H)-ring]
+        merged = ctx.mirrored_union
         t_lo = ladder_mod.mirror_point(ctx.ladder, ctx.w.T)
         t_hi = ladder_mod.mirror_point(ctx.ladder, ctx.w.T + ctx.w.H)
         # the grid is discrete, so the first and last covered intervals can
@@ -347,12 +354,10 @@ def verify_sign_area(cfg: ExperimentConfig, ctx: ExperimentContext | None = None
     """Area-equality law for the sign partition of Z(phi_1) * Z~^2."""
     if not math.isclose(cfg.x, cfg.y, rel_tol=0.0, abs_tol=1e-12):
         raise ValueError("verify_sign_area requires x == y")
-    ctx = ctx or ExperimentContext(cfg)
+    ctx = _context(cfg, ctx)
     q = cfg.quad
     H = ctx.w.H
-    merged = ctx.mirrored(ctx.g1).union(
-        ctx.mirrored(ctx.g2), clip_tol=1e-8 * ctx.w.T)
-    part = sign_partition(merged, ctx.pushforward_z, root_tol=1e-6)
+    part = sign_partition(ctx.mirrored_union, ctx.pushforward_z, root_tol=1e-6)
     a_pos = integrate_collection(ctx.pushforward_z, part.pos, q)
     a_neg = integrate_collection(ctx.pushforward_z, part.neg, q)
     if not (a_pos.value > 0 and a_neg.value < 0):
@@ -369,16 +374,16 @@ def verify_sign_area(cfg: ExperimentConfig, ctx: ExperimentContext | None = None
             "warnings": list(part.warnings),
         },
     )]
-    # positive area dominates the single-set mean value from below
+    # positive area dominates the single-set mean value from below: one-sided,
+    # so the tolerance is unbounded above the floor and zero below it
     eps_slack = 0.25
     floor = (1.0 - eps_slack) * 2.0 / math.pi * H * math.sin(cfg.x)
+    lb_tol = float("inf") if a_pos.value >= floor else 0.0
     reports.append(VerificationReport(
         experiment_id="sign-area.lower-bound",
         measured=a_pos.value, predicted=floor, error_estimate=a_pos.error_estimate,
-        paper_eq="3.2",
-        verdict="pass" if a_pos.value >= floor else "fail",
-        tolerance=float("inf"),
-        metadata={"eps_slack": eps_slack},
+        paper_eq="3.2", verdict=_verdict(a_pos.value, floor, lb_tol),
+        tolerance=lb_tol, metadata={"eps_slack": eps_slack},
     ))
     return reports
 
@@ -396,24 +401,27 @@ def scan_shape(cfg: ExperimentConfig, x_grid=None,
         raise ValueError("scan_shape needs at least 8 x values")
     if not all(0.0 < x <= math.pi / 2 for x in x_grid):
         raise ValueError("x grid must lie in (0, pi/2]")
-    ctx = ctx or ExperimentContext(cfg, need_mirror=False)
+    ctx = _context(cfg, ctx)
     H = ctx.w.H
     rows = []
+    converged = True
     for x in x_grid:
         coll = build_g1(ctx.w, x)
         out = integrate_collection(ctx.z, coll, cfg.quad, initial_cuts=ctx.grid_cuts)
+        converged = converged and out.converged
         rows.append((x, out.value, 2.0 / math.pi * H * math.sin(x)))
     sines = np.array([math.sin(x) for x, _, _ in rows])
     meas = np.array([v for _, v, _ in rows])
     amp = float(np.dot(sines, meas) / np.dot(sines, sines))
     resid = float(np.linalg.norm(meas - amp * sines))
     rel = amp * math.pi / (2.0 * H)
+    meta = {"fitted_amplitude": amp, "residual_norm": resid, "x_grid": x_grid,
+            "converged": converged}
     report = VerificationReport(
         experiment_id="shape.amplitude",
         measured=rel, predicted=1.0, error_estimate=resid / (2.0 * H / math.pi),
-        paper_eq="1.5", verdict=_verdict(rel, 1.0, 0.1), tolerance=0.1,
-        metadata={"fitted_amplitude": amp, "residual_norm": resid,
-                  "x_grid": x_grid},
+        paper_eq="1.5", verdict=_verdict(rel, 1.0, 0.1, meta), tolerance=0.1,
+        metadata=meta,
     )
     return rows, report
 

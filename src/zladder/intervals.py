@@ -75,9 +75,6 @@ class IntervalCollection:
         i = np.searchsorted(self.lows, t) - 1
         return i >= 0 and self.intervals[i][0] < t < self.intervals[i][1]
 
-    def relabel(self, label: str) -> "IntervalCollection":
-        return IntervalCollection(self.intervals, label, self.window)
-
     # -- set algebra used by the harness ------------------------------------
 
     def union(self, other: "IntervalCollection", label: str = "other",

@@ -63,11 +63,6 @@ class LadderConvergenceError(ArithmeticError):
     """Ladder inversion ran out of rounds before every point converged."""
 
 
-def euler_constant() -> float:
-    """Euler's constant gamma = 0.5772156649..."""
-    return EULER_GAMMA
-
-
 def li(t):
     """Principal-value logarithmic integral li(t) = Ei(ln t), li(2) ~ 1.045.
 
@@ -85,14 +80,11 @@ def li(t):
 
 @dataclass
 class PrimeCounter:
-    """Exact prime counting by sieve up to ``limit`` (Li-approx as fallback)."""
+    """Exact prime counting by sieve up to ``limit``."""
 
     limit: int = 2_000_000
-    method: str = "sieve"
 
     def __post_init__(self):
-        if self.method not in ("sieve", "Li-approx"):
-            raise ValueError(f"unknown method {self.method!r}")
         self._cum = None
 
     def _ensure_sieve(self):
@@ -107,9 +99,6 @@ class PrimeCounter:
     def count(self, t: float) -> int:
         if t < 2:
             return 0
-        if self.method == "Li-approx":
-            # error model: |li(t) - pi(t)| = O(sqrt(t) ln t) under RH
-            return int(round(li(t)))
         if t > self.limit:
             raise ValueError(f"t={t} exceeds sieve limit {self.limit}")
         self._ensure_sieve()

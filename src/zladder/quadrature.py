@@ -243,7 +243,3 @@ def transform_check(m, f, T: float, U: float, q: QuadSpec = QuadSpec()) -> Trans
     rhs = integrate_interval(f, T, T + U, q)
     return TransformCheck(lhs, rhs, abs(lhs.value - rhs.value))
 
-
-def transform_residual(m, f, T: float, U: float, q: QuadSpec = QuadSpec()) -> float:
-    """|LHS - RHS| of the substitution identity; see transform_check."""
-    return transform_check(m, f, T, U, q).residual

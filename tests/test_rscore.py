@@ -10,7 +10,6 @@ from zladder import rscore
 from zladder.rscore import (
     HiPrecOracle,
     RSConfig,
-    ThetaExpansion,
     hardy_z,
     hardy_z_many,
     hardy_z_oracle,
@@ -33,7 +32,7 @@ GAMMA_1 = 14.134725141734693
 # ---------------------------------------------------------------------------
 
 def test_theta_at_100_matches_oracle():
-    assert theta(100.0, ThetaExpansion(order=1)) == pytest.approx(THETA_100, abs=1e-8)
+    assert theta(100.0, order=1) == pytest.approx(THETA_100, abs=1e-8)
     assert theta(100.0) == pytest.approx(THETA_100, abs=1e-11)
     assert theta_oracle(100.0) == pytest.approx(THETA_100, abs=1e-12)
 
@@ -57,14 +56,14 @@ def test_theta_rejects_small_argument():
 
 def test_theta_order_validation():
     with pytest.raises(ValueError):
-        ThetaExpansion(order=4)
+        theta(100.0, order=4)
     with pytest.raises(ValueError):
-        ThetaExpansion(order=-1)
+        theta_deriv(100.0, order=-1)
 
 
 def test_theta_deriv_main_term_value():
     # main term alone: (1/2) ln(t/2pi) = 1/2 at t = 2*pi*e
-    assert theta_deriv(2 * math.pi * math.e, ThetaExpansion(order=0)) == pytest.approx(0.5, abs=1e-15)
+    assert theta_deriv(2 * math.pi * math.e, order=0) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_theta_deriv_at_1e6():
@@ -156,18 +155,9 @@ def test_hardy_z_chunking_invariance():
     assert np.array_equal(a, b)
 
 
-def test_summation_modes_agree():
-    ts = np.geomspace(1e4, 1e7, 64)
-    zp = hardy_z_many(ts, RSConfig(summation_mode="plain"))
-    zc = hardy_z_many(ts, RSConfig(summation_mode="compensated"))
-    assert np.max(np.abs(zp - zc)) < 1e-10
-
-
 def test_rs_config_validation():
     with pytest.raises(ValueError):
         RSConfig(correction_terms=3)
-    with pytest.raises(ValueError):
-        RSConfig(summation_mode="kahan")
     with pytest.raises(ValueError):
         HiPrecOracle(working_digits=20)
 
@@ -200,11 +190,6 @@ def test_z_tilde_sq_vanishes_at_zero_of_z():
 def test_z_tilde_sq_equals_z_squared_over_log():
     t = 12345.6
     assert z_tilde_sq(t) == pytest.approx(hardy_z(t) ** 2 / math.log(t), rel=1e-14)
-
-
-def test_z_tilde_sq_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        z_tilde_sq(1e4, mode="corrected")
 
 
 # ---------------------------------------------------------------------------
