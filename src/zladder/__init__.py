@@ -31,7 +31,6 @@ from .quadrature import (
 )
 from .rscore import (
     HiPrecOracle,
-    RSConfig,
     hardy_z,
     hardy_z_many,
     hardy_z_oracle,

@@ -31,7 +31,6 @@ _COMMON_FLAGS = (
     ("--ladder", "ladder_kind", str),
     ("--rel-tol", "rel_tol", float),
     ("--abs-tol", "abs_tol", float),
-    ("--correction-terms", "correction_terms", int),
     ("--out", "output_dir", str),
 )
 
@@ -92,10 +91,12 @@ def _cmd_gsets(args) -> int:
 def _cmd_ladder(args) -> int:
     cfg = _config_from_args(args)
     model = ExperimentContext(cfg).ladder
+    w = cfg.window
+    lo, hi = (ladder_mod.mirror_point(model, t) for t in (w.T, w.T + w.H))
     path = Path(cfg.output_dir) / f"ladder-{model.kind}.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
-    ladder_mod.save_ladder_csv(model, path, step=1.0)
-    print(f"wrote {path} over range [{model.lo:.3f}, {model.hi:.3f}]")
+    ladder_mod.save_ladder_csv(model, path, lo, hi, step=1.0)
+    print(f"wrote {path} over the mirrored window [{lo:.3f}, {hi:.3f}]")
     return 0
 
 

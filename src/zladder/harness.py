@@ -27,7 +27,7 @@ from .gridsets import WindowSpec, build_g1, build_g2, grid_range, sign_partition
 from .intervals import IntervalCollection
 from .quadrature import QuadSpec, integrate_collection
 
-REPORT_SCHEMA_VERSION = 3
+REPORT_SCHEMA_VERSION = 4
 
 #: Closed vocabulary of equation tags a report may cite.
 EQ_TAGS = ("1.5", "1.6", "1.8", "2.1", "C2", "3.2", "4.1", "4.2", "4.4", "4.5")
@@ -55,7 +55,6 @@ class ExperimentConfig:
     # quadrature accuracy for speed; pass a tighter QuadSpec to override
     quad: QuadSpec = field(
         default_factory=lambda: QuadSpec(rel_tol=1e-7, abs_tol=1e-5))
-    rs: rscore.RSConfig = field(default_factory=rscore.RSConfig)
     output_dir: str = "out"
 
     def __post_init__(self):
@@ -92,7 +91,6 @@ def config_from_file(path, overrides: dict | None = None) -> ExperimentConfig:
 def _config_from_strings(values: dict) -> ExperimentConfig:
     kw: dict = {}
     quad_kw: dict = {}
-    rs_kw: dict = {}
     for key, val in values.items():
         if key in ("T", "epsilon", "x", "y"):
             kw[key] = float(val)
@@ -104,14 +102,10 @@ def _config_from_strings(values: dict) -> ExperimentConfig:
             quad_kw[key] = float(val)
         elif key == "max_depth":
             quad_kw[key] = int(val)
-        elif key == "correction_terms":
-            rs_kw[key] = int(val)
         else:
             raise ValueError(f"unknown config key {key!r}")
     if quad_kw:
         kw["quad"] = QuadSpec(**quad_kw)
-    if rs_kw:
-        kw["rs"] = rscore.RSConfig(**rs_kw)
     return ExperimentConfig(**kw)
 
 
@@ -129,9 +123,9 @@ class VerificationReport:
     def __post_init__(self):
         if self.paper_eq not in EQ_TAGS:
             raise ValueError(f"equation tag {self.paper_eq!r} not in vocabulary")
-        if self.verdict not in ("pass", "fail", "informative"):
+        if self.verdict not in ("pass", "fail"):
             raise ValueError(f"bad verdict {self.verdict!r}")
-        if self.verdict != "informative" and self.verdict != _verdict(
+        if self.verdict != _verdict(
                 self.measured, self.predicted, self.tolerance, self.metadata):
             raise ValueError("verdict inconsistent with measured/tolerance")
 
@@ -174,7 +168,7 @@ class ExperimentContext:
         self._mirrored_integrals: dict = {}
 
     def z(self, ts):
-        return rscore.hardy_z_many(np.asarray(ts, dtype=float), self.cfg.rs)
+        return rscore.hardy_z_many(np.asarray(ts, dtype=float))
 
     @functools.cached_property
     def ode(self) -> ladder_mod.OdeLadder:
@@ -187,7 +181,7 @@ class ExperimentContext:
         anchor_t = self.asym.invert(lo_hull - margin)
         span = (hi_hull + margin - lo_hull + 2 * margin) / 0.85
         for _ in range(6):
-            ode = ladder_mod.ladder_ode(anchor_t, span, self.asym, self.cfg.rs)
+            ode = ladder_mod.ladder_ode(anchor_t, span, self.asym)
             if ode.eval(ode.hi) >= hi_hull + margin:
                 return ode
             span *= 1.3
@@ -312,12 +306,14 @@ def verify_corollaries(cfg: ExperimentConfig, ctx: ExperimentContext | None = No
     diff = m1.value - m2.value
     diff_pred = 2.0 / math.pi * (math.sin(cfg.x) + math.sin(cfg.y)) * H
     at_half_pi = same and math.isclose(cfg.x, math.pi / 2, abs_tol=1e-9)
+    meta = {"converged": m1.converged and m2.converged}
     reports.append(VerificationReport(
         experiment_id="corollary.difference",
         measured=diff, predicted=diff_pred,
         error_estimate=m1.error_estimate + m2.error_estimate,
         paper_eq="C2" if at_half_pi else "2.1",
-        verdict=_verdict(diff, diff_pred, budget), tolerance=budget,
+        verdict=_verdict(diff, diff_pred, budget, meta), tolerance=budget,
+        metadata=meta,
     ))
 
     if at_half_pi:
@@ -363,27 +359,30 @@ def verify_sign_area(cfg: ExperimentConfig, ctx: ExperimentContext | None = None
     if not (a_pos.value > 0 and a_neg.value < 0):
         raise ArithmeticError("sign partition produced empty or wrong-signed areas")
     ratio = a_pos.value / abs(a_neg.value)
+    meta = {
+        "area_pos": a_pos.value, "area_neg": a_neg.value,
+        "root_gap_measure": part.gap_measure,
+        "warnings": list(part.warnings),
+        "converged": a_pos.converged and a_neg.converged,
+    }
     reports = [VerificationReport(
         experiment_id="sign-area.ratio",
         measured=ratio, predicted=1.0,
         error_estimate=(a_pos.error_estimate + a_neg.error_estimate) / abs(a_neg.value),
-        paper_eq="3.2", verdict=_verdict(ratio, 1.0, ratio_tol), tolerance=ratio_tol,
-        metadata={
-            "area_pos": a_pos.value, "area_neg": a_neg.value,
-            "root_gap_measure": part.gap_measure,
-            "warnings": list(part.warnings),
-        },
+        paper_eq="3.2", verdict=_verdict(ratio, 1.0, ratio_tol, meta),
+        tolerance=ratio_tol, metadata=meta,
     )]
     # positive area dominates the single-set mean value from below: one-sided,
     # so the tolerance is unbounded above the floor and zero below it
     eps_slack = 0.25
     floor = (1.0 - eps_slack) * 2.0 / math.pi * H * math.sin(cfg.x)
     lb_tol = float("inf") if a_pos.value >= floor else 0.0
+    meta = {"eps_slack": eps_slack, "converged": a_pos.converged}
     reports.append(VerificationReport(
         experiment_id="sign-area.lower-bound",
         measured=a_pos.value, predicted=floor, error_estimate=a_pos.error_estimate,
-        paper_eq="3.2", verdict=_verdict(a_pos.value, floor, lb_tol),
-        tolerance=lb_tol, metadata={"eps_slack": eps_slack},
+        paper_eq="3.2", verdict=_verdict(a_pos.value, floor, lb_tol, meta),
+        tolerance=lb_tol, metadata=meta,
     ))
     return reports
 

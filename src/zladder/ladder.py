@@ -238,8 +238,7 @@ class OdeLadder(LadderModel):
 
     kind = "ode"
 
-    def __init__(self, anchor_t: float, span: float, anchor_value: float,
-                 rs_cfg: rscore.RSConfig = rscore.RSConfig()):
+    def __init__(self, anchor_t: float, span: float, anchor_value: float):
         if span <= 0:
             raise ValueError("span must be positive")
         if anchor_t < rscore.T_MIN:
@@ -247,7 +246,6 @@ class OdeLadder(LadderModel):
         self.lo = float(anchor_t)
         self.hi = float(anchor_t + span)
         self.anchor = (float(anchor_t), float(anchor_value))
-        self._rs_cfg = rs_cfg
         n = int(math.ceil(span / PANEL_WIDTH))
         self._cp_t = np.linspace(self.lo, self.hi, n + 1)
         self._mid = 0.5 * (self._cp_t[:-1] + self._cp_t[1:])
@@ -257,7 +255,8 @@ class OdeLadder(LadderModel):
         nodes = np.append(
             (self._mid[:, None] + self._hw[:, None] * _LOBATTO[:-1]).ravel(), self.hi)
         nodes[::PANEL_DEGREE] = self._cp_t
-        vals = sliding_window_view(self._f(nodes), PANEL_DEGREE + 1)[::PANEL_DEGREE]
+        vals = sliding_window_view(rscore.z_tilde_sq_many(nodes),
+                                   PANEL_DEGREE + 1)[::PANEL_DEGREE]
         # rows are coefficient orders, columns panels
         self._coef = _SAMPLES_TO_COEF @ vals.T
         self._integral = _COEF_TO_INTEGRAL @ self._coef
@@ -266,9 +265,6 @@ class OdeLadder(LadderModel):
         self._cp_phi = float(anchor_value) + np.concatenate(
             [[0.0], cum.astype(float)]
         )
-
-    def _f(self, t):
-        return rscore.z_tilde_sq_many(t, self._rs_cfg)
 
     def _locate(self, t):
         """Panel index and local coordinate x in [-1, 1] of each t."""
@@ -287,7 +283,7 @@ class OdeLadder(LadderModel):
     def deriv(self, t):
         scalar = np.asarray(t).ndim == 0
         t = self._check_range(t)
-        out = self._f(t)
+        out = rscore.z_tilde_sq_many(t)
         return float(out[0]) if scalar else out
 
     def _slope(self, t):
@@ -307,11 +303,10 @@ def ladder_asymptotic(lo: float, hi: float) -> AsymptoticLadder:
     return AsymptoticLadder(lo, hi)
 
 
-def ladder_ode(anchor_t: float, span: float, seed_model: LadderModel,
-               rs_cfg: rscore.RSConfig = rscore.RSConfig()) -> OdeLadder:
+def ladder_ode(anchor_t: float, span: float, seed_model: LadderModel) -> OdeLadder:
     """ODE ladder on [anchor_t, anchor_t + span], anchored to the seed model."""
     anchor_value = float(np.asarray(seed_model.eval(np.array([anchor_t])))[0])
-    return OdeLadder(anchor_t, span, anchor_value, rs_cfg)
+    return OdeLadder(anchor_t, span, anchor_value)
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +353,11 @@ def separation_rho(w, m: LadderModel, pc: PrimeCounter | None = None):
 # checkpoint-table serialization
 # ---------------------------------------------------------------------------
 
-def save_ladder_csv(m: LadderModel, path, step: float = 1.0):
-    """Write a dense (t, phi1, phi1') checkpoint table with a header line
-    declaring kind, anchor, and tolerance of the table."""
-    ts = np.arange(m.lo, m.hi + 0.5 * step, step)
-    ts[-1] = min(ts[-1], m.hi)
+def save_ladder_csv(m: LadderModel, path, lo: float, hi: float, step: float = 1.0):
+    """Write a (t, phi1, phi1') table over [lo, hi], evenly spaced at most
+    ``step`` apart, with a header line declaring kind, anchor, and tolerance
+    of the table."""
+    ts = np.linspace(lo, hi, int(math.ceil((hi - lo) / step)) + 1)
     phi = np.asarray(m.eval(ts))
     dphi = np.asarray(m.deriv(ts))
     anchor = getattr(m, "anchor", None)
@@ -371,39 +366,3 @@ def save_ladder_csv(m: LadderModel, path, step: float = 1.0):
         fh.write("t,phi1,dphi1\n")
         for a, b, c in zip(ts, phi, dphi):
             fh.write(f"{float(a)!r},{float(b)!r},{float(c)!r}\n")
-
-
-class TabulatedLadder(LadderModel):
-    """Ladder model reconstructed from a checkpoint table; monotone cubic
-    interpolation between checkpoints."""
-
-    def __init__(self, ts, phi, dphi, kind="tabulated"):
-        from scipy.interpolate import PchipInterpolator
-
-        self.kind = kind
-        self.lo = float(ts[0])
-        self.hi = float(ts[-1])
-        self._interp = PchipInterpolator(ts, phi)
-        self._dinterp = PchipInterpolator(ts, dphi)
-        self.anchor = None
-
-    def eval(self, t):
-        t = self._check_range(t)
-        return self._interp(np.clip(t, self.lo, self.hi))
-
-    def deriv(self, t):
-        t = self._check_range(t)
-        return self._dinterp(np.clip(t, self.lo, self.hi))
-
-
-def load_ladder_csv(path) -> TabulatedLadder:
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("# kind="):
-            raise ValueError("bad ladder table header")
-        kind = header.split()[1].split("=", 1)[1]
-        cols = fh.readline().strip()
-        if cols != "t,phi1,dphi1":
-            raise ValueError("bad ladder table columns")
-        data = np.array([[float(x) for x in line.split(",")] for line in fh])
-    return TabulatedLadder(data[:, 0], data[:, 1], data[:, 2], kind=f"tabulated-{kind}")

@@ -50,15 +50,12 @@ class QuadSpec:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-8
     max_depth: int = 40
-    rule: str = "adaptive-nested"  # or "fixed-panel"
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
         if not 1 <= self.max_depth <= 60:
             raise ValueError("max_depth must lie in [1, 60]")
-        if self.rule not in ("adaptive-nested", "fixed-panel"):
-            raise ValueError(f"unknown rule {self.rule!r}")
 
 
 @dataclass(frozen=True)
@@ -98,9 +95,11 @@ def _panel_estimates(f, los, his):
     k15 = (vals @ _WEIGHTS_K) * hw
     g7 = (vals @ _WEIGHTS_G) * hw
     e = np.abs(k15 - g7)
-    mean = k15 / (2.0 * hw)
-    resasc = (np.abs(vals - mean[:, None]) @ _WEIGHTS_K) * hw
+    # halving a panel one double wide leaves a zero-width half: hw = 0 makes
+    # mean and resasc NaN, and its estimate falls back to e = 0
     with np.errstate(divide="ignore", invalid="ignore"):
+        mean = k15 / (2.0 * hw)
+        resasc = (np.abs(vals - mean[:, None]) @ _WEIGHTS_K) * hw
         damped = np.where(
             resasc > 0.0,
             resasc * np.minimum(1.0, (200.0 * e / np.where(resasc > 0, resasc, 1.0)) ** 1.5),
@@ -109,103 +108,84 @@ def _panel_estimates(f, los, his):
     return k15, damped, vals.shape[0] * vals.shape[1]
 
 
-def integrate_interval(f, lo: float, hi: float, q: QuadSpec = QuadSpec(),
-                       initial_cuts=None) -> QuadratureOutcome:
-    """Integrate f over (lo, hi) to max(abs_tol, rel_tol*|value|).
-
-    ``initial_cuts`` (optional, sorted) pre-splits the interval, e.g. at grid
-    ordinates so each starting panel sees at most one sign change of Z.
-    """
+def integrate_interval(f, lo: float, hi: float,
+                       q: QuadSpec = QuadSpec()) -> QuadratureOutcome:
+    """Integrate f over (lo, hi) to max(abs_tol, rel_tol*|value|)."""
     if not lo < hi:
         raise ValueError("integrate_interval requires lo < hi")
-    cuts = [lo]
-    if initial_cuts is not None:
-        cuts += [float(c) for c in initial_cuts if lo < c < hi]
-    cuts.append(hi)
-    panels = [(cuts[i], cuts[i + 1], 0) for i in range(len(cuts) - 1)]
-    return _integrate_panels(f, panels, hi - lo, q)
+    return _integrate_panels(f, np.array([float(lo)]), np.array([float(hi)]), hi - lo, q)
 
 
-def _integrate_panels(f, panels, total_width, q: QuadSpec) -> QuadratureOutcome:
-    """Globally adaptive loop over a worklist of panels.
+def _integrate_panels(f, lo, hi, total_width, q: QuadSpec) -> QuadratureOutcome:
+    """Globally adaptive loop over the starting panels (lo[i], hi[i]), sorted
+    by position.
 
-    Each generation evaluates all current panels in one vectorized call; the
-    run stops as soon as the summed error estimate meets the global tolerance,
+    Each generation evaluates all new panels in one vectorized call; the run
+    stops as soon as the summed error estimate meets the global tolerance,
     which keeps floating-point jitter in the integrand from forcing unbounded
-    subdivision.  Panels are re-sorted by position for the final reduction, so
-    the outcome does not depend on the subdivision history order.  A
-    generation with a non-finite panel value raises QuadratureError.
+    subdivision.  The live panels are kept sorted by position, and the sums
+    use math.fsum, so the outcome does not depend on the subdivision history.
+    A generation with a non-finite panel value raises QuadratureError.
     """
-    evaluations = 0
-    subdivisions = 0
+    evaluations = subdivisions = 0
     converged = True
-    pending = sorted(panels)
-    live = []  # (lo, hi, depth, value, err)
-    while pending:
-        los = np.array([p[0] for p in pending])
-        his = np.array([p[1] for p in pending])
-        depths = [p[2] for p in pending]
-        k15, errs, n_evals = _panel_estimates(f, los, his)
+    new = np.array([lo, hi, np.zeros_like(lo)])  # rows lo, hi, depth
+    live = np.empty((5, 0))  # rows lo, hi, depth, value, err
+    while True:
+        value, err, n_evals = _panel_estimates(f, new[0], new[1])
         evaluations += n_evals
-        finite = np.isfinite(k15)
+        finite = np.isfinite(value)
         if not finite.all():
             i = int(np.argmin(finite))
             raise QuadratureError(
-                f"integrand not finite on panel [{los[i]!r}, {his[i]!r}]")
-        live.extend(
-            (los[i], his[i], depths[i], k15[i], errs[i]) for i in range(len(pending))
-        )
-        if q.rule == "fixed-panel":
-            break
-        live.sort()
-        total_value = math.fsum(p[3] for p in live)
-        total_err = math.fsum(p[4] for p in live)
-        tol = max(q.abs_tol, q.rel_tol * abs(total_value))
-        if total_err <= tol:
+                f"integrand not finite on panel [{new[0, i]!r}, {new[1, i]!r}]")
+        live = np.hstack([live, np.vstack([new, value, err])])
+        live = live[:, np.lexsort(live[::-1])]  # by lo, then hi, depth, value, err
+        lo, hi, depth, value, err = live
+        tol = max(q.abs_tol, q.rel_tol * abs(math.fsum(value)))
+        if math.fsum(err) <= tol:
             break
         # split every panel above its proportional share; if rounding noise
         # leaves none above the line, split the single worst offender
-        shares = {id(p): tol * (p[1] - p[0]) / total_width for p in live}
-        to_split = [p for p in live if p[4] > shares[id(p)] and p[2] < q.max_depth]
-        if not to_split:
-            splittable = [p for p in live if p[2] < q.max_depth]
-            if not splittable:
+        splittable = depth < q.max_depth
+        split = splittable & (err > tol * (hi - lo) / total_width)
+        if not split.any():
+            if not splittable.any():
                 converged = False
                 break
-            to_split = [max(splittable, key=lambda p: p[4])]
-        split_ids = {id(p) for p in to_split}
-        live = [p for p in live if id(p) not in split_ids]
-        pending = []
-        for lo, hi, depth, _v, _e in to_split:
-            mid = 0.5 * (lo + hi)
-            pending.append((lo, mid, depth + 1))
-            pending.append((mid, hi, depth + 1))
-            subdivisions += 1
-    live.sort()
-    value = math.fsum(p[3] for p in live)
-    err = math.fsum(p[4] for p in live)
-    return QuadratureOutcome(value, err, evaluations, subdivisions, converged)
+            worst = np.argmax(np.where(splittable, err, -np.inf))
+            split = np.arange(live.shape[1]) == worst
+        mid = 0.5 * (lo[split] + hi[split])
+        new = np.array([np.column_stack([lo[split], mid]).ravel(),
+                        np.column_stack([mid, hi[split]]).ravel(),
+                        np.repeat(depth[split] + 1, 2)])
+        subdivisions += mid.size
+        live = live[:, ~split]
+    return QuadratureOutcome(math.fsum(live[3]), math.fsum(live[4]), evaluations,
+                             subdivisions, converged)
 
 
 def integrate_collection(f, c: IntervalCollection, q: QuadSpec = QuadSpec(),
                          initial_cuts=None) -> QuadratureOutcome:
     """Integrate f over every interval of the collection and sum the outcomes.
 
-    Per-interval error estimates and evaluation counts combine additively.
     The whole collection is treated as one adaptive job so the per-panel
-    budget is shared by measure.
+    budget is shared by measure.  ``initial_cuts`` (optional) pre-splits the
+    intervals, e.g. at grid ordinates so each starting panel sees at most one
+    sign change of Z.
     """
     if len(c) == 0:
         raise ValueError("integrate_collection requires a nonempty collection")
-    cuts = np.asarray(initial_cuts, dtype=float) if initial_cuts is not None else None
-    panels = []
-    for lo, hi in c.intervals:
-        inner = [lo]
-        if cuts is not None:
-            inner += [float(x) for x in cuts[(cuts > lo) & (cuts < hi)]]
-        inner.append(hi)
-        panels += [(inner[i], inner[i + 1], 0) for i in range(len(inner) - 1)]
-    return _integrate_panels(f, panels, c.measure(), q)
+    lo, hi = c.lows, c.highs
+    if initial_cuts is not None:
+        cuts = np.unique(np.asarray(initial_cuts, dtype=float))
+        k = np.searchsorted(lo, cuts, side="right") - 1
+        inside = (k >= 0) & (cuts > lo[k]) & (cuts < hi[k])
+        # the intervals are disjoint and sorted, so starting panel i runs
+        # from the i-th of (lows + inner cuts) to the i-th of (inner cuts + highs)
+        lo = np.sort(np.concatenate([lo, cuts[inside]]))
+        hi = np.sort(np.concatenate([cuts[inside], hi]))
+    return _integrate_panels(f, lo, hi, c.measure(), q)
 
 
 # ---------------------------------------------------------------------------

@@ -45,19 +45,6 @@ class PrecisionError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RSConfig:
-    """Riemann-Siegel evaluation knobs for the fast Z path."""
-
-    correction_terms: int = RS_MAX_CORRECTION_TERMS
-
-    def __post_init__(self):
-        if not 0 <= self.correction_terms <= RS_MAX_CORRECTION_TERMS:
-            raise ValueError(
-                f"correction_terms must be in [0, {RS_MAX_CORRECTION_TERMS}]"
-            )
-
-
-@dataclass(frozen=True)
 class HiPrecOracle:
     """Settings for the mpmath-backed reference evaluator."""
 
@@ -192,13 +179,16 @@ def _reduce_terms(terms):
     return total + comp
 
 
-def hardy_z_many(t, cfg: RSConfig = RSConfig(), max_chunk_elems: int = 250_000):
+def hardy_z_many(t, *, correction_terms: int = RS_MAX_CORRECTION_TERMS,
+                 max_chunk_elems: int = 250_000):
     """Vectorized Hardy Z over a numpy array of t >= T_MIN.
 
     Evaluates the Riemann-Siegel main sum 2 * sum_{n <= N} cos(theta - t ln n)/sqrt(n)
-    with N = floor(sqrt(t/2pi)), plus ``cfg.correction_terms`` remainder terms.
-    Raises ValueError on non-finite t.
+    with N = floor(sqrt(t/2pi)), plus ``correction_terms`` (0 to
+    RS_MAX_CORRECTION_TERMS) remainder terms.  Raises ValueError on non-finite t.
     """
+    if not 0 <= correction_terms <= RS_MAX_CORRECTION_TERMS:
+        raise ValueError(f"correction_terms must be in [0, {RS_MAX_CORRECTION_TERMS}]")
     t = np.asarray(t, dtype=float)
     if t.size == 0:
         return np.empty(0)
@@ -228,32 +218,32 @@ def hardy_z_many(t, cfg: RSConfig = RSConfig(), max_chunk_elems: int = 250_000):
         terms[n[None, :] > N[sl, None]] = 0.0
         out[sl] = 2.0 * _reduce_terms(terms)
 
-    if cfg.correction_terms > 0:
+    if correction_terms > 0:
         C0, C1 = _rs_coeffs(p)
         R = C0
-        if cfg.correction_terms >= 2:
+        if correction_terms >= 2:
             R = R + C1 / a
         sign = np.where(N % 2 == 1, 1.0, -1.0)
         out = out + sign * R / np.sqrt(a)
     return out
 
 
-def hardy_z(t: float, cfg: RSConfig = RSConfig()) -> float:
+def hardy_z(t: float) -> float:
     """Scalar Hardy Z(t) on the fast path; t must be >= T_MIN."""
-    return float(hardy_z_many(np.array([float(t)]), cfg)[0])
+    return float(hardy_z_many(np.array([float(t)]))[0])
 
 
-def z_tilde_sq_many(t, cfg: RSConfig = RSConfig()):
+def z_tilde_sq_many(t):
     """Vectorized Z~^2(t) = Z(t)^2 / ln t (the asymptotically negligible
     1 + O(ln ln t / ln t) normalization is truncated to 1)."""
     t = np.asarray(t, dtype=float)
-    z = hardy_z_many(t, cfg)
+    z = hardy_z_many(t)
     return z * z / np.log(t)
 
 
-def z_tilde_sq(t: float, cfg: RSConfig = RSConfig()) -> float:
+def z_tilde_sq(t: float) -> float:
     """Scalar Z~^2(t); nonnegative, zero exactly at zeros of Z."""
-    return float(z_tilde_sq_many(np.array([float(t)]), cfg)[0])
+    return float(z_tilde_sq_many(np.array([float(t)]))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ def test_criterion_6_separation_law():
 def test_criterion_7_kernel_accuracy():
     rng = np.random.default_rng(20240401)
     ts = np.sort(np.exp(rng.uniform(math.log(1e3), math.log(1e7), 1000)))
-    fast = rscore.hardy_z_many(ts, rscore.RSConfig(correction_terms=1))
+    fast = rscore.hardy_z_many(ts, correction_terms=1)
     ref = np.array([rscore.hardy_z_oracle(float(t)) for t in ts])
     diff = np.abs(fast - ref)
     edges = np.geomspace(1e3, 1e7, 9)
@@ -132,7 +132,7 @@ def test_criterion_7_kernel_accuracy():
 
     rng2 = np.random.default_rng(777)
     ts2 = np.sort(np.exp(rng2.uniform(math.log(1e6), math.log(1e7), 100)))
-    fast2 = np.abs(rscore.hardy_z_many(ts2, rscore.RSConfig(correction_terms=2)))
+    fast2 = np.abs(rscore.hardy_z_many(ts2, correction_terms=2))
     em = np.array([abs(rscore.zeta_half_em(float(t))) for t in ts2])
     rel = np.abs(fast2 - em) / em
     print(f"criterion 7: max relative gap to Euler-Maclaurin zeta = {rel.max():.3e}")

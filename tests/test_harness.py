@@ -51,14 +51,12 @@ def test_config_from_file_and_overrides(tmp_path):
         "H_override = 500\n"
         "x = 1.0\n"
         "rel_tol = 1e-6\n"
-        "correction_terms = 1\n"
     )
     cfg = config_from_file(p)
     assert cfg.T == 2e6
     assert cfg.window.H == 500.0
     assert cfg.x == 1.0
     assert cfg.quad.rel_tol == 1e-6
-    assert cfg.rs.correction_terms == 1
     over = config_from_file(p, {"T": "3e6", "y": 0.5})
     assert over.T == 3e6
     assert over.y == 0.5
@@ -106,7 +104,6 @@ def test_report_verdict_consistency():
         _report(verdict="fail")  # |1-1| <= 0.1
     with pytest.raises(ValueError):
         _report(verdict="maybe")
-    assert _report(measured=5.0, verdict="informative").verdict == "informative"
 
 
 def test_report_pass_requires_converged_integrals():
@@ -241,11 +238,15 @@ def test_context_of_another_config_is_refused():
 def test_unconverged_integrals_never_pass():
     q = QuadSpec(rel_tol=1e-14, abs_tol=1e-14, max_depth=1)
     cfg = ExperimentConfig(T=1e5, H_override=10.0, quad=q)
-    _, shape = harness.scan_shape(cfg)
-    rows = harness.verify_theorem(cfg) + [shape]
-    unconverged = [r for r in rows if r.metadata["converged"] is False]
+    ctx = harness.ExperimentContext(cfg)
+    _, shape = harness.scan_shape(cfg, ctx=ctx)
+    rows = (harness.verify_theorem(cfg, ctx) + harness.verify_corollaries(cfg, ctx)
+            + harness.verify_sign_area(cfg, ctx) + [shape])
+    unconverged = [r for r in rows if r.metadata.get("converged") is False]
     assert {"theorem.g1-substitution", "theorem.g2-substitution",
-            "shape.amplitude"} <= {r.experiment_id for r in unconverged}
+            "corollary.union", "corollary.difference", "sign-area.ratio",
+            "sign-area.lower-bound", "shape.amplitude",
+            } <= {r.experiment_id for r in unconverged}
     assert all(r.verdict == "fail" for r in unconverged)
 
 
@@ -300,6 +301,24 @@ def test_cli_ladder_and_integrate(tmp_path):
     assert run_cli(_argv("ladder", tmp_path, "--ladder", "asymptotic")) == 0
     assert (tmp_path / "ladder-asymptotic.csv").exists()
     assert run_cli(_argv("integrate", tmp_path, "--set", "g2")) == 0
+
+
+def test_cli_ladder_tabulates_only_the_mirrored_window(tmp_path):
+    # the window's mirror at T = 1e3 is about H / (1 - 0.42 / ln T) = 27 wide
+    assert run_cli(_argv("ladder", tmp_path, "--ladder", "asymptotic")) == 0
+    rows = np.loadtxt(tmp_path / "ladder-asymptotic.csv", delimiter=",", skiprows=2)
+    assert 25 <= len(rows) <= 1.2 * 25 + 2
+
+
+def test_cli_ode_ladder_table_spans_the_mirrored_window(tmp_path):
+    assert run_cli(_argv("ladder", tmp_path, "--ladder", "ode")) == 0
+    rows = np.loadtxt(tmp_path / "ladder-ode.csv", delimiter=",", skiprows=2)
+    ode = harness.ExperimentContext(ExperimentConfig(T=1e3, H_override=25.0)).ode
+    assert rows[0, 0] == ladder.mirror_point(ode, 1e3)
+    assert rows[-1, 0] == ladder.mirror_point(ode, 1e3 + 25.0)
+    assert rows[0, 1] == pytest.approx(1e3, abs=1e-6)
+    assert rows[-1, 1] == pytest.approx(1e3 + 25.0, abs=1e-6)
+    assert np.diff(rows[:, 0]).max() <= 1.0 + 1e-12
 
 
 def test_cli_usage_error_exit_2():

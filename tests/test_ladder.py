@@ -19,11 +19,9 @@ from zladder.ladder import (
     LadderRangeError,
     OdeLadder,
     PrimeCounter,
-    TabulatedLadder,
     ladder_asymptotic,
     ladder_ode,
     li,
-    load_ladder_csv,
     mirror_collection,
     mirror_point,
     pi_count,
@@ -310,21 +308,16 @@ def test_separation_rho():
 # ---------------------------------------------------------------------------
 
 def test_ladder_csv_round_trip(tmp_path, ode_small):
+    # the table holds the model's own values at evenly spaced t, bit-exactly
     path = tmp_path / "ladder.csv"
-    # step must resolve the Z oscillation (period ~ pi / theta' ~ 0.5 here)
-    save_ladder_csv(ode_small, path, step=0.05)
-    back = load_ladder_csv(path)
-    assert isinstance(back, TabulatedLadder)
-    assert back.kind == "tabulated-ode"
-    ts = np.linspace(ode_small.lo + 1.0, ode_small.hi - 1.0, 200)
-    diff = np.abs(np.asarray(back.eval(ts)) - ode_small.eval(ts))
-    assert diff.max() < 5e-3
-    dts = np.asarray(back.eval(ts))
-    assert np.all(np.diff(dts) >= -1e-9)
-
-
-def test_ladder_csv_bad_header(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("nope\n")
-    with pytest.raises(ValueError):
-        load_ladder_csv(p)
+    lo, hi = ode_small.lo + 1.0, ode_small.lo + 11.5
+    save_ladder_csv(ode_small, path, lo, hi, step=0.05)
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# kind=ode anchor=")
+    assert lines[1] == "t,phi1,dphi1"
+    data = np.loadtxt(path, delimiter=",", skiprows=2)
+    ts = data[:, 0]
+    assert ts[0] == lo and ts[-1] == hi
+    assert len(ts) == 211 and np.diff(ts).max() == pytest.approx(0.05)
+    assert np.array_equal(data[:, 1], ode_small.eval(ts))
+    assert np.array_equal(data[:, 2], ode_small.deriv(ts))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zladder import rscore
 from zladder.gridsets import WindowSpec, build_g1
@@ -11,7 +13,9 @@ from zladder.intervals import IntervalCollection
 from zladder.ladder import ladder_asymptotic
 from zladder.quadrature import (
     QuadratureError,
+    QuadratureOutcome,
     QuadSpec,
+    _panel_estimates,
     integrate_collection,
     integrate_interval,
     transform_check,
@@ -27,8 +31,6 @@ def test_quad_spec_validation():
         QuadSpec(abs_tol=-1.0)
     with pytest.raises(ValueError):
         QuadSpec(max_depth=61)
-    with pytest.raises(ValueError):
-        QuadSpec(rule="gauss-only")
 
 
 def test_sin_integral_to_machine_accuracy():
@@ -118,14 +120,54 @@ def test_tolerance_contract():
 
 
 def test_z_integral_matches_oversampled_fixed_panel():
-    # one G1 interval of Z against a 10x-oversampled fixed-panel reference
+    # one G1 interval of Z against a 10x-oversampled reference: 15-point
+    # Gauss-Legendre on each of 160 equal panels
     w = WindowSpec(1e6, H_override=50.0)
     lo, hi = build_g1(w, math.pi / 2).intervals[0]
     f = lambda t: rscore.hardy_z_many(t)
     adaptive = integrate_interval(f, lo, hi, QuadSpec(rel_tol=1e-10, abs_tol=1e-12))
-    cuts = np.linspace(lo, hi, 161)[1:-1]
-    ref = integrate_interval(f, lo, hi, QuadSpec(rule="fixed-panel"), initial_cuts=cuts)
-    assert adaptive.value == pytest.approx(ref.value, rel=1e-8)
+    cuts = np.linspace(lo, hi, 161)
+    x, wts = np.polynomial.legendre.leggauss(15)
+    mid, hw = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * np.diff(cuts)
+    vals = f((mid[:, None] + hw[:, None] * x).ravel()).reshape(mid.size, x.size)
+    ref = math.fsum((vals @ wts) * hw)
+    assert adaptive.value == pytest.approx(ref, rel=1e-8)
+
+
+def _wiggly(x):
+    return np.exp(-0.3 * x) * np.cos(9.0 * x) + 0.05 * x * x
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(-5.0, 5.0), w1=st.floats(0.01, 6.0), w2=st.floats(0.01, 6.0),
+       tol=st.sampled_from([1e-6, 1e-9, 1e-12]))
+def test_additivity_within_contract_tolerances(a, w1, w2, tol):
+    q = QuadSpec(rel_tol=tol, abs_tol=tol)
+    b, c = a + w1, a + w1 + w2
+    whole = integrate_interval(_wiggly, a, c, q)
+    left = integrate_interval(_wiggly, a, b, q)
+    right = integrate_interval(_wiggly, b, c, q)
+    assert whole.converged and left.converged and right.converged
+    budget = whole.tolerance(q) + left.tolerance(q) + right.tolerance(q)
+    assert abs(whole.value - (left.value + right.value)) <= budget
+
+
+@settings(max_examples=40, deadline=None)
+@given(chunk_seed=st.integers(0, 2**32 - 1),
+       cuts=st.lists(st.floats(0.0, 10.0, allow_subnormal=False), max_size=12),
+       max_depth=st.integers(1, 40))
+def test_outcome_invariant_under_integrand_batching(chunk_seed, cuts, max_depth):
+    c = IntervalCollection(((0.0, 2.5), (3.0, 7.0), (7.0, 10.0)))
+    q = QuadSpec(rel_tol=1e-11, abs_tol=1e-11, max_depth=max_depth)
+    rng = np.random.default_rng(chunk_seed)
+
+    def chunked(x):
+        # evaluate the batch in random sub-chunks, as a memory-capped kernel would
+        stops = np.sort(rng.integers(0, x.size + 1, size=rng.integers(0, 6)))
+        return np.concatenate([_wiggly(p) for p in np.split(x, stops)])
+
+    ref = integrate_collection(_wiggly, c, q, initial_cuts=cuts)
+    assert integrate_collection(chunked, c, q, initial_cuts=cuts) == ref
 
 
 def test_oscillation_safety_node_density():
@@ -178,3 +220,53 @@ def test_transform_u_hypothesis_enforced():
         transform_check(m, np.sin, T, 0.0)
     with pytest.raises(ValueError):
         transform_check(m, np.sin, T, 2.0 * T / math.log(T))
+
+
+def _worklist_reference(f, c, q, cuts):
+    """The adaptive loop over a Python list of (lo, hi, depth, value, err)
+    tuples: a reference for the array loop, with the same arithmetic."""
+    panels = []
+    for lo, hi in c.intervals:
+        inner = [lo] + sorted({x for x in cuts if lo < x < hi}) + [hi]
+        panels += [(a, b, 0) for a, b in zip(inner, inner[1:])]
+    pending, live, evaluations, subdivisions = sorted(panels), [], 0, 0
+    while True:
+        value, err, n = _panel_estimates(f, np.array([p[0] for p in pending]),
+                                         np.array([p[1] for p in pending]))
+        evaluations += n
+        live = sorted(live + [p + (v, e) for p, v, e in zip(pending, value, err)])
+        tol = max(q.abs_tol, q.rel_tol * abs(math.fsum(p[3] for p in live)))
+        if math.fsum(p[4] for p in live) <= tol:
+            break
+        splittable = [p for p in live if p[2] < q.max_depth]
+        to_split = [p for p in splittable if p[4] > tol * (p[1] - p[0]) / c.measure()]
+        if not splittable:
+            return QuadratureOutcome(math.fsum(p[3] for p in live),
+                                     math.fsum(p[4] for p in live),
+                                     evaluations, subdivisions, False)
+        to_split = to_split or [max(splittable, key=lambda p: p[4])]
+        live = [p for p in live if all(p is not s for s in to_split)]
+        pending = []
+        for lo, hi, depth, _, _ in to_split:
+            mid = 0.5 * (lo + hi)
+            pending += [(lo, mid, depth + 1), (mid, hi, depth + 1)]
+        subdivisions += len(to_split)
+    return QuadratureOutcome(math.fsum(p[3] for p in live), math.fsum(p[4] for p in live),
+                             evaluations, subdivisions, True)
+
+
+def _step(x):
+    # a jump no depth resolves: once its panel reaches max_depth, the loop
+    # splits the worst splittable panel, one per generation
+    return np.sign(x - math.sqrt(2)) + 0.1 * x
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=st.sampled_from([_wiggly, _step]),
+       cuts=st.lists(st.floats(0.0, 10.0, allow_subnormal=False), max_size=12),
+       max_depth=st.integers(1, 6), tol=st.sampled_from([1e-5, 1e-9, 1e-13]))
+def test_array_loop_matches_tuple_worklist(f, cuts, max_depth, tol):
+    c = IntervalCollection(((0.0, 2.5), (3.0, 7.0), (7.0, 10.0)))
+    q = QuadSpec(rel_tol=tol, abs_tol=tol, max_depth=max_depth)
+    assert (integrate_collection(f, c, q, initial_cuts=cuts)
+            == _worklist_reference(f, c, q, cuts))

@@ -9,7 +9,6 @@ import pytest
 from zladder import rscore
 from zladder.rscore import (
     HiPrecOracle,
-    RSConfig,
     hardy_z,
     hardy_z_many,
     hardy_z_oracle,
@@ -122,7 +121,7 @@ def test_hardy_z_correction_terms_improve_accuracy():
     ref = np.array([hardy_z_oracle(float(t)) for t in ts])
     errs = []
     for k in (0, 1, 2):
-        z = hardy_z_many(ts, RSConfig(correction_terms=k))
+        z = hardy_z_many(ts, correction_terms=k)
         errs.append(np.max(np.abs(z - ref)))
     assert errs[1] < errs[0]
     assert errs[2] < errs[1]
@@ -157,7 +156,9 @@ def test_hardy_z_chunking_invariance():
 
 def test_rs_config_validation():
     with pytest.raises(ValueError):
-        RSConfig(correction_terms=3)
+        hardy_z_many(np.array([1e6]), correction_terms=3)
+    with pytest.raises(ValueError):
+        hardy_z_many(np.array([1e6]), correction_terms=-1)
     with pytest.raises(ValueError):
         HiPrecOracle(working_digits=20)
 
