@@ -30,7 +30,6 @@ from .quadrature import (
     integrate_interval,
 )
 from .rscore import (
-    HiPrecOracle,
     hardy_z,
     hardy_z_many,
     hardy_z_oracle,

@@ -28,7 +28,6 @@ _COMMON_FLAGS = (
     ("--H", "H_override", float),
     ("--x", "x", float),
     ("--y", "y", float),
-    ("--ladder", "ladder_kind", str),
     ("--rel-tol", "rel_tol", float),
     ("--abs-tol", "abs_tol", float),
     ("--out", "output_dir", str),
@@ -38,8 +37,7 @@ _COMMON_FLAGS = (
 def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", type=str, default=None, help="key = value config file")
     for flag, key, kind in _COMMON_FLAGS:
-        choices = ("asymptotic", "ode") if key == "ladder_kind" else None
-        p.add_argument(flag, type=kind, default=None, dest=key, choices=choices)
+        p.add_argument(flag, type=kind, default=None, dest=key)
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -95,7 +93,7 @@ def _cmd_ladder(args) -> int:
     lo, hi = (ladder_mod.mirror_point(model, t) for t in (w.T, w.T + w.H))
     path = Path(cfg.output_dir) / f"ladder-{model.kind}.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
-    ladder_mod.save_ladder_csv(model, path, lo, hi, step=1.0)
+    ladder_mod.save_ladder_csv(model, path, lo, hi)
     print(f"wrote {path} over the mirrored window [{lo:.3f}, {hi:.3f}]")
     return 0
 

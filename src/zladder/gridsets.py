@@ -25,6 +25,16 @@ T_MAX = 1.0e8
 #: here, which admits the classical Gram points starting at t ~ 17.8.
 GRID_T_MIN = 10.0
 
+#: Residual tolerance of the theta solves, relative to the solution t: it sits
+#: above double rounding of theta throughout the validated range.
+THETA_REL_TOL = 1e-10
+
+#: Newton rounds of a theta solve before it is declared unconverged.
+THETA_MAX_ITER = 30
+
+#: Root gaps of the sign partition cover at most this share of its measure.
+ROOT_TOL = 1e-6
+
 
 class SolverError(RuntimeError):
     """Grid-point solve failed to converge; message carries the bracket."""
@@ -75,13 +85,9 @@ def _theta_initial_guess(target):
     return TWO_PI * np.exp(w + 1.0)
 
 
-def invert_theta(targets, tol: float | None = None, max_iter: int = 30):
-    """Vectorized safeguarded Newton solve of theta(t) = target.
-
-    ``tol`` is the residual tolerance in theta units; the default scales with
-    the solution as 1e-10 * t, which sits above double rounding of theta
-    throughout the validated range.
-    """
+def invert_theta(targets):
+    """Vectorized safeguarded Newton solve of theta(t) = target to a residual
+    of THETA_REL_TOL * t."""
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     theta_min = theta(GRID_T_MIN)
     if np.any(targets < theta_min):
@@ -89,11 +95,9 @@ def invert_theta(targets, tol: float | None = None, max_iter: int = 30):
     t = np.clip(_theta_initial_guess(targets), GRID_T_MIN, None)
     lo = np.full_like(t, GRID_T_MIN)
     hi = np.full_like(t, T_MAX * 1.01)
-    tol_arr = None
-    for _ in range(max_iter):
+    for _ in range(THETA_MAX_ITER):
         resid = theta(t) - targets
-        tol_arr = (1e-10 * t) if tol is None else np.full_like(t, tol)
-        done = np.abs(resid) <= tol_arr
+        done = np.abs(resid) <= THETA_REL_TOL * t
         if np.all(done):
             return t
         # monotonicity keeps the bracket shrinking
@@ -105,7 +109,7 @@ def invert_theta(targets, tol: float | None = None, max_iter: int = 30):
         nxt = np.where(outside, 0.5 * (lo + hi), nxt)
         t = np.where(done, t, nxt)
     resid = theta(t) - targets
-    bad = np.abs(resid) > tol_arr
+    bad = np.abs(resid) > THETA_REL_TOL * t
     idx = int(np.argmax(bad))
     raise SolverError(
         f"theta solve did not converge for target {targets[idx]!r}; "
@@ -113,14 +117,12 @@ def invert_theta(targets, tol: float | None = None, max_iter: int = 30):
     )
 
 
-def solve_grid_point(nu: int, tau: float, tol: float | None = None) -> GramLikePoint:
+def solve_grid_point(nu: int, tau: float) -> GramLikePoint:
     """Solve theta(t) = pi*nu + tau for one grid point."""
     if not -math.pi <= tau <= math.pi:
         raise ValueError("tau must lie in [-pi, pi]")
-    if tol is not None and tol <= 0:
-        raise ValueError("tol must be positive")
     target = math.pi * nu + tau
-    t = float(invert_theta(np.array([target]), tol)[0])
+    t = float(invert_theta(np.array([target]))[0])
     return GramLikePoint(nu=nu, tau=float(tau), t=t)
 
 
@@ -145,12 +147,11 @@ def _build_g(w: WindowSpec, half_width: float, parity: int, label: str) -> Inter
         raise ValueError("half-width must lie in (0, pi/2]")
     points = [g for g in grid_range(w) if g.nu % 2 == parity]
     if not points:
-        return IntervalCollection((), label, (w.T, w.T + w.H))
+        return IntervalCollection((), label)
     nus = np.array([g.nu for g in points])
     los = invert_theta(math.pi * nus - half_width)
     his = invert_theta(math.pi * nus + half_width)
-    window = (min(w.T, float(los[0])), max(w.T + w.H, float(his[-1])))
-    return IntervalCollection(tuple(zip(los, his)), label, window)
+    return IntervalCollection(tuple(zip(los, his)), label)
 
 
 def build_g1(w: WindowSpec, x: float) -> IntervalCollection:
@@ -175,19 +176,17 @@ class SignPartition:
     warnings: tuple
 
 
-def sign_partition(c: IntervalCollection, f, root_tol: float = 1e-6) -> SignPartition:
+def sign_partition(c: IntervalCollection, f) -> SignPartition:
     """Split ``c`` into subsets where f > 0 and f < 0.
 
     f must accept numpy arrays.  Roots of f are located by a uniform pre-scan
     with step (local zero gap)/8 = 2*pi/(8 ln t), followed by vectorized
     bisection; each root is excised inside a gap, and the total gap measure is
-    kept at or below root_tol * measure(c).  Intervals whose scan resolves no
+    kept at or below ROOT_TOL * measure(c).  Intervals whose scan resolves no
     sign at all are reported as suspected root clusters.
     """
     if len(c) == 0:
         raise ValueError("sign_partition requires a nonempty collection")
-    if not 0 < root_tol < 1:
-        raise ValueError("root_tol must lie in (0, 1)")
     total = c.measure()
 
     # scan nodes for all intervals at once
@@ -205,7 +204,7 @@ def sign_partition(c: IntervalCollection, f, root_tol: float = 1e-6) -> SignPart
     flips = (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0) & (owner[:-1] == owner[1:])
     n_roots = int(np.count_nonzero(flips))
     # width budget per root gap
-    gap_w = root_tol * total / max(1, n_roots)
+    gap_w = ROOT_TOL * total / max(1, n_roots)
 
     a = nodes[:-1][flips].copy()
     b = nodes[1:][flips].copy()
@@ -248,8 +247,6 @@ def sign_partition(c: IntervalCollection, f, root_tol: float = 1e-6) -> SignPart
                 warnings.append(
                     f"unresolved sign on ({slo!r}, {shi!r}); suspected root cluster"
                 )
-    pos = IntervalCollection(tuple(pos_ivs), "pos-part", c.window) if pos_ivs else \
-        IntervalCollection((), "pos-part", c.window)
-    neg = IntervalCollection(tuple(neg_ivs), "neg-part", c.window) if neg_ivs else \
-        IntervalCollection((), "neg-part", c.window)
-    return SignPartition(pos, neg, gap_measure, tuple(warnings))
+    return SignPartition(IntervalCollection(tuple(pos_ivs), "pos-part"),
+                         IntervalCollection(tuple(neg_ivs), "neg-part"),
+                         gap_measure, tuple(warnings))

@@ -27,7 +27,7 @@ from .gridsets import WindowSpec, build_g1, build_g2, grid_range, sign_partition
 from .intervals import IntervalCollection
 from .quadrature import QuadSpec, integrate_collection
 
-REPORT_SCHEMA_VERSION = 4
+REPORT_SCHEMA_VERSION = 5
 
 #: Closed vocabulary of equation tags a report may cite.
 EQ_TAGS = ("1.5", "1.6", "1.8", "2.1", "C2", "3.2", "4.1", "4.2", "4.4", "4.5")
@@ -42,6 +42,12 @@ KAPPA = 4.5
 #: Hard multiple of the combined quadrature tolerance for substitution rows.
 SUBSTITUTION_SLACK = 10.0
 
+#: Allowed |area_pos / |area_neg| - 1| of the area-equality law (eq. 3.2).
+RATIO_TOL = 0.15
+
+#: Half-widths x of the shape scan: k pi / 16 for k = 1..8.
+SHAPE_X_GRID = tuple(k * math.pi / 16 for k in range(1, 9))
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -50,7 +56,6 @@ class ExperimentConfig:
     H_override: float | None = 1.0e3
     x: float = math.pi / 2
     y: float = math.pi / 2
-    ladder_kind: str = "ode"
     # mean-value budgets are O(10), so the experiment default trades unneeded
     # quadrature accuracy for speed; pass a tighter QuadSpec to override
     quad: QuadSpec = field(
@@ -60,8 +65,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (0.0 < self.x <= math.pi / 2 and 0.0 < self.y <= math.pi / 2):
             raise ValueError("x and y must lie in (0, pi/2]")
-        if self.ladder_kind not in ("asymptotic", "ode"):
-            raise ValueError(f"unknown ladder_kind {self.ladder_kind!r}")
         WindowSpec(self.T, self.epsilon, self.H_override)  # validate window
 
     @property
@@ -96,7 +99,7 @@ def _config_from_strings(values: dict) -> ExperimentConfig:
             kw[key] = float(val)
         elif key == "H_override":
             kw[key] = None if str(val).lower() in ("none", "") else float(val)
-        elif key in ("ladder_kind", "output_dir"):
+        elif key == "output_dir":
             kw[key] = str(val)
         elif key in ("rel_tol", "abs_tol"):
             quad_kw[key] = float(val)
@@ -111,32 +114,31 @@ def _config_from_strings(values: dict) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """One report row; its verdict is derived from the other fields."""
+
     experiment_id: str
     measured: float
     predicted: float
     error_estimate: float
     paper_eq: str
-    verdict: str
+    verdict: str = field(init=False)
     tolerance: float
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.paper_eq not in EQ_TAGS:
             raise ValueError(f"equation tag {self.paper_eq!r} not in vocabulary")
-        if self.verdict not in ("pass", "fail"):
-            raise ValueError(f"bad verdict {self.verdict!r}")
-        if self.verdict != _verdict(
-                self.measured, self.predicted, self.tolerance, self.metadata):
-            raise ValueError("verdict inconsistent with measured/tolerance")
+        object.__setattr__(self, "verdict", _verdict(
+            self.measured, self.predicted, self.tolerance, self.metadata))
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
 
 
-def _verdict(measured, predicted, tolerance, metadata=None) -> str:
+def _verdict(measured, predicted, tolerance, metadata) -> str:
     """pass when |measured - predicted| <= tolerance, unless the metadata
     says an integral behind the row did not converge."""
-    converged = (metadata or {}).get("converged") is not False
+    converged = metadata.get("converged") is not False
     return "pass" if converged and abs(measured - predicted) <= tolerance else "fail"
 
 
@@ -150,7 +152,7 @@ def mean_value_budget(cfg: ExperimentConfig) -> float:
 # ---------------------------------------------------------------------------
 
 class ExperimentContext:
-    """Grid sets, ladder models and integrands shared by the experiments.
+    """Grid sets and integrands shared by the experiments.
 
     The context owns everything derived from them: the ODE ladder, each
     mirrored collection, each mirrored integral and the clipped mirrored union
@@ -163,7 +165,6 @@ class ExperimentContext:
         self.g1 = build_g1(self.w, cfg.x)
         self.g2 = build_g2(self.w, cfg.y)
         self.grid_cuts = np.array([g.t for g in grid_range(self.w)])
-        self.asym = ladder_mod.ladder_asymptotic(10.0, 4.0 * cfg.T + 1e6)
         self._mirrors: dict = {}
         self._mirrored_integrals: dict = {}
 
@@ -171,25 +172,22 @@ class ExperimentContext:
         return rscore.hardy_z_many(np.asarray(ts, dtype=float))
 
     @functools.cached_property
-    def ode(self) -> ladder_mod.OdeLadder:
+    def ladder(self) -> ladder_mod.OdeLadder:
         """ODE ladder whose image covers the window and both G sets with a
-        margin of 3; built on first use."""
+        margin of 3, anchored on the asymptotic model; built on first use."""
         margin = 3.0
+        asym = ladder_mod.ladder_asymptotic(10.0, 4.0 * self.cfg.T + 1e6)
         sets = [c for c in (self.g1, self.g2) if len(c)]
         lo_hull = min([self.w.T] + [c.intervals[0][0] for c in sets])
         hi_hull = max([self.w.T + self.w.H] + [c.intervals[-1][1] for c in sets])
-        anchor_t = self.asym.invert(lo_hull - margin)
+        anchor_t = asym.invert(lo_hull - margin)
         span = (hi_hull + margin - lo_hull + 2 * margin) / 0.85
         for _ in range(6):
-            ode = ladder_mod.ladder_ode(anchor_t, span, self.asym)
+            ode = ladder_mod.ladder_ode(anchor_t, span, asym)
             if ode.eval(ode.hi) >= hi_hull + margin:
                 return ode
             span *= 1.3
         raise RuntimeError("ODE ladder failed to cover the mirrored window")
-
-    @property
-    def ladder(self):
-        return self.ode if self.cfg.ladder_kind == "ode" else self.asym
 
     def mirrored(self, c: IntervalCollection) -> IntervalCollection:
         """The mirror of c under the context's ladder, computed once per c."""
@@ -260,7 +258,6 @@ def verify_theorem(cfg: ExperimentConfig, ctx: ExperimentContext | None = None) 
                 experiment_id=f"theorem.{name}-{kind}",
                 measured=o.value, predicted=pred,
                 error_estimate=o.error_estimate, paper_eq=eq,
-                verdict=_verdict(o.value, pred, budget, meta),
                 tolerance=budget, metadata=meta,
             ))
         resid = abs(out.value - mout.value)
@@ -270,8 +267,7 @@ def verify_theorem(cfg: ExperimentConfig, ctx: ExperimentContext | None = None) 
             experiment_id=f"theorem.{name}-substitution",
             measured=resid, predicted=0.0,
             error_estimate=out.error_estimate + mout.error_estimate,
-            paper_eq="4.4", verdict=_verdict(resid, 0.0, rtol, meta), tolerance=rtol,
-            metadata=meta,
+            paper_eq="4.4", tolerance=rtol, metadata=meta,
         ))
     return reports
 
@@ -299,8 +295,7 @@ def verify_corollaries(cfg: ExperimentConfig, ctx: ExperimentContext | None = No
         experiment_id="corollary.union",
         measured=union, predicted=pred,
         error_estimate=m1.error_estimate + m2.error_estimate,
-        paper_eq="2.1", verdict=_verdict(union, pred, tol, meta), tolerance=tol,
-        metadata=meta,
+        paper_eq="2.1", tolerance=tol, metadata=meta,
     ))
 
     diff = m1.value - m2.value
@@ -311,8 +306,7 @@ def verify_corollaries(cfg: ExperimentConfig, ctx: ExperimentContext | None = No
         experiment_id="corollary.difference",
         measured=diff, predicted=diff_pred,
         error_estimate=m1.error_estimate + m2.error_estimate,
-        paper_eq="C2" if at_half_pi else "2.1",
-        verdict=_verdict(diff, diff_pred, budget, meta), tolerance=budget,
+        paper_eq="C2" if at_half_pi else "2.1", tolerance=budget,
         metadata=meta,
     ))
 
@@ -338,22 +332,20 @@ def verify_corollaries(cfg: ExperimentConfig, ctx: ExperimentContext | None = No
         reports.append(VerificationReport(
             experiment_id="corollary.coverage",
             measured=worst, predicted=0.0, error_estimate=0.0,
-            paper_eq="C2", verdict=_verdict(worst, 0.0, cover_tol),
-            tolerance=cover_tol,
+            paper_eq="C2", tolerance=cover_tol,
             metadata={"interval_count": len(merged)},
         ))
     return reports
 
 
-def verify_sign_area(cfg: ExperimentConfig, ctx: ExperimentContext | None = None,
-                     ratio_tol: float = 0.15) -> list[VerificationReport]:
+def verify_sign_area(cfg: ExperimentConfig, ctx: ExperimentContext | None = None) -> list[VerificationReport]:
     """Area-equality law for the sign partition of Z(phi_1) * Z~^2."""
     if not math.isclose(cfg.x, cfg.y, rel_tol=0.0, abs_tol=1e-12):
         raise ValueError("verify_sign_area requires x == y")
     ctx = _context(cfg, ctx)
     q = cfg.quad
     H = ctx.w.H
-    part = sign_partition(ctx.mirrored_union, ctx.pushforward_z, root_tol=1e-6)
+    part = sign_partition(ctx.mirrored_union, ctx.pushforward_z)
     a_pos = integrate_collection(ctx.pushforward_z, part.pos, q)
     a_neg = integrate_collection(ctx.pushforward_z, part.neg, q)
     if not (a_pos.value > 0 and a_neg.value < 0):
@@ -369,8 +361,7 @@ def verify_sign_area(cfg: ExperimentConfig, ctx: ExperimentContext | None = None
         experiment_id="sign-area.ratio",
         measured=ratio, predicted=1.0,
         error_estimate=(a_pos.error_estimate + a_neg.error_estimate) / abs(a_neg.value),
-        paper_eq="3.2", verdict=_verdict(ratio, 1.0, ratio_tol, meta),
-        tolerance=ratio_tol, metadata=meta,
+        paper_eq="3.2", tolerance=RATIO_TOL, metadata=meta,
     )]
     # positive area dominates the single-set mean value from below: one-sided,
     # so the tolerance is unbounded above the floor and zero below it
@@ -381,30 +372,22 @@ def verify_sign_area(cfg: ExperimentConfig, ctx: ExperimentContext | None = None
     reports.append(VerificationReport(
         experiment_id="sign-area.lower-bound",
         measured=a_pos.value, predicted=floor, error_estimate=a_pos.error_estimate,
-        paper_eq="3.2", verdict=_verdict(a_pos.value, floor, lb_tol, meta),
-        tolerance=lb_tol, metadata=meta,
+        paper_eq="3.2", tolerance=lb_tol, metadata=meta,
     ))
     return reports
 
 
-def scan_shape(cfg: ExperimentConfig, x_grid=None,
-               ctx: ExperimentContext | None = None):
-    """Amplitude fit of the measured x -> integral law against (2H/pi) sin x.
+def scan_shape(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
+    """Amplitude fit of the measured x -> integral law against (2H/pi) sin x
+    over SHAPE_X_GRID.
 
     Returns (rows, report) where rows are (x, measured, predicted) tuples.
     """
-    if x_grid is None:
-        x_grid = [k * math.pi / 16 for k in range(1, 9)]
-    x_grid = [float(x) for x in x_grid]
-    if len(x_grid) < 8:
-        raise ValueError("scan_shape needs at least 8 x values")
-    if not all(0.0 < x <= math.pi / 2 for x in x_grid):
-        raise ValueError("x grid must lie in (0, pi/2]")
     ctx = _context(cfg, ctx)
     H = ctx.w.H
     rows = []
     converged = True
-    for x in x_grid:
+    for x in SHAPE_X_GRID:
         coll = build_g1(ctx.w, x)
         out = integrate_collection(ctx.z, coll, cfg.quad, initial_cuts=ctx.grid_cuts)
         converged = converged and out.converged
@@ -414,13 +397,12 @@ def scan_shape(cfg: ExperimentConfig, x_grid=None,
     amp = float(np.dot(sines, meas) / np.dot(sines, sines))
     resid = float(np.linalg.norm(meas - amp * sines))
     rel = amp * math.pi / (2.0 * H)
-    meta = {"fitted_amplitude": amp, "residual_norm": resid, "x_grid": x_grid,
-            "converged": converged}
+    meta = {"fitted_amplitude": amp, "residual_norm": resid,
+            "x_grid": list(SHAPE_X_GRID), "converged": converged}
     report = VerificationReport(
         experiment_id="shape.amplitude",
         measured=rel, predicted=1.0, error_estimate=resid / (2.0 * H / math.pi),
-        paper_eq="1.5", verdict=_verdict(rel, 1.0, 0.1, meta), tolerance=0.1,
-        metadata=meta,
+        paper_eq="1.5", tolerance=0.1, metadata=meta,
     )
     return rows, report
 
@@ -436,7 +418,7 @@ def separation_report(cfg: ExperimentConfig,
     return VerificationReport(
         experiment_id="separation.rho",
         measured=ratio, predicted=1.0, error_estimate=0.0,
-        paper_eq="1.8", verdict=_verdict(ratio, 1.0, 0.05), tolerance=0.05,
+        paper_eq="1.8", tolerance=0.05,
         metadata={"rho": rho, "predicted_rho": predicted, "H": w.H},
     )
 

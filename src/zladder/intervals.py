@@ -25,7 +25,8 @@ LABELS = (
     "other",
 )
 
-_SCHEMA_VERSION = 1
+#: 2 dropped the "window" hull; from_json ignores it in schema-1 files.
+_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,6 @@ class IntervalCollection:
 
     intervals: tuple
     label: str = "other"
-    window: tuple | None = None  # declared (lo, hi) hull; defaults to the span
 
     def __post_init__(self):
         ivs = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
@@ -47,12 +47,6 @@ class IntervalCollection:
         for (_, hi), (lo2, _) in zip(ivs, ivs[1:]):
             if hi > lo2:
                 raise ValueError("intervals must be sorted and pairwise disjoint")
-        if self.window is None and ivs:
-            object.__setattr__(self, "window", (ivs[0][0], ivs[-1][1]))
-        if self.window is not None and ivs:
-            wlo, whi = self.window
-            if ivs[0][0] < wlo or ivs[-1][1] > whi:
-                raise ValueError("interval outside the declared window")
 
     def __len__(self):
         return len(self.intervals)
@@ -77,9 +71,10 @@ class IntervalCollection:
 
     # -- set algebra used by the harness ------------------------------------
 
-    def union(self, other: "IntervalCollection", label: str = "other",
+    def union(self, other: "IntervalCollection",
               clip_tol: float = 0.0) -> "IntervalCollection":
-        """Merge two disjoint collections into one sorted collection.
+        """Merge two disjoint collections into one sorted collection, labelled
+        "other".
 
         Overlaps up to ``clip_tol`` (solver-noise scale, e.g. endpoints of
         neighboring sets that solve the same grid equation independently) are
@@ -95,9 +90,7 @@ class IntervalCollection:
                 fixed[-1] = (fixed[-1][0], mid)
                 lo = mid
             fixed.append((lo, hi))
-        wins = [w for w in (self.window, other.window) if w is not None]
-        window = (min(w[0] for w in wins), max(w[1] for w in wins)) if wins else None
-        return IntervalCollection(tuple(fixed), label, window)
+        return IntervalCollection(tuple(fixed))
 
     # -- serialization -------------------------------------------------------
 
@@ -105,7 +98,6 @@ class IntervalCollection:
         payload = {
             "schema_version": _SCHEMA_VERSION,
             "label": self.label,
-            "window": list(self.window) if self.window else None,
             "intervals": [[lo, hi] for lo, hi in self.intervals],
         }
         return json.dumps(payload, sort_keys=True)
@@ -113,8 +105,7 @@ class IntervalCollection:
     @classmethod
     def from_json(cls, text: str) -> "IntervalCollection":
         payload = json.loads(text)
-        window = tuple(payload["window"]) if payload.get("window") else None
-        return cls(tuple(map(tuple, payload["intervals"])), payload["label"], window)
+        return cls(tuple(map(tuple, payload["intervals"])), payload["label"])
 
     def to_csv(self) -> str:
         buf = io.StringIO()

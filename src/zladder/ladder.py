@@ -121,10 +121,6 @@ class LadderModel:
     lo: float
     hi: float
 
-    @property
-    def range(self):
-        return (self.lo, self.hi)
-
     def eval(self, t):
         raise NotImplementedError
 
@@ -323,13 +319,13 @@ def mirror_point(m: LadderModel, T: float) -> float:
 
 def mirror_collection(m: LadderModel, c: IntervalCollection) -> IntervalCollection:
     """Apply mirror_point to every endpoint; monotonicity preserves order."""
+    label = _MIRROR_LABEL.get(c.label, "other")
     if len(c) == 0:
-        return IntervalCollection((), _MIRROR_LABEL.get(c.label, "other"), None)
+        return IntervalCollection((), label)
     ends = np.concatenate([c.lows, c.highs])
     mirrored = np.asarray(m.invert(ends))
     los = mirrored[: len(c)]
     his = mirrored[len(c):]
-    label = _MIRROR_LABEL.get(c.label, "other")
     return IntervalCollection(tuple(zip(los, his)), label)
 
 
@@ -353,11 +349,15 @@ def separation_rho(w, m: LadderModel, pc: PrimeCounter | None = None):
 # checkpoint-table serialization
 # ---------------------------------------------------------------------------
 
-def save_ladder_csv(m: LadderModel, path, lo: float, hi: float, step: float = 1.0):
+#: Largest spacing of the rows save_ladder_csv writes.
+CSV_STEP = 1.0
+
+
+def save_ladder_csv(m: LadderModel, path, lo: float, hi: float):
     """Write a (t, phi1, phi1') table over [lo, hi], evenly spaced at most
-    ``step`` apart, with a header line declaring kind, anchor, and tolerance
+    CSV_STEP apart, with a header line declaring kind, anchor, and tolerance
     of the table."""
-    ts = np.linspace(lo, hi, int(math.ceil((hi - lo) / step)) + 1)
+    ts = np.linspace(lo, hi, int(math.ceil((hi - lo) / CSV_STEP)) + 1)
     phi = np.asarray(m.eval(ts))
     dphi = np.asarray(m.deriv(ts))
     anchor = getattr(m, "anchor", None)

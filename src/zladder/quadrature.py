@@ -146,11 +146,12 @@ def _integrate_panels(f, lo, hi, total_width, q: QuadSpec) -> QuadratureOutcome:
         if math.fsum(err) <= tol:
             break
         # split every panel above its proportional share; if rounding noise
-        # leaves none above the line, split the single worst offender
+        # leaves none above the line, split the single worst offender, unless
+        # the panels at max_depth, which never change, alone exceed the budget
         splittable = depth < q.max_depth
         split = splittable & (err > tol * (hi - lo) / total_width)
         if not split.any():
-            if not splittable.any():
+            if math.fsum(err[~splittable]) > tol:
                 converged = False
                 break
             worst = np.argmax(np.where(splittable, err, -np.inf))

@@ -16,7 +16,6 @@ Chebyshev table for the remainder coefficient functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -39,20 +38,16 @@ THETA_MAX_ORDER = 3
 #: Maximum number of Riemann-Siegel remainder terms (C0 and C1).
 RS_MAX_CORRECTION_TERMS = 2
 
+#: Significant digits the mpmath oracle certifies (it works with 10 more).
+ORACLE_DIGITS = 30
+
+#: Elements of the (points, terms) matrix hardy_z_many builds per chunk: about
+#: 2 MB of temporaries, faster than 8M-element chunks at ~6x less peak RSS.
+_CHUNK_ELEMS = 250_000
+
 
 class PrecisionError(RuntimeError):
     """Raised when the high-precision oracle cannot certify convergence."""
-
-
-@dataclass(frozen=True)
-class HiPrecOracle:
-    """Settings for the mpmath-backed reference evaluator."""
-
-    working_digits: int = 30
-
-    def __post_init__(self):
-        if self.working_digits < 30:
-            raise ValueError("working_digits must be >= 30")
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +174,7 @@ def _reduce_terms(terms):
     return total + comp
 
 
-def hardy_z_many(t, *, correction_terms: int = RS_MAX_CORRECTION_TERMS,
-                 max_chunk_elems: int = 250_000):
+def hardy_z_many(t, *, correction_terms: int = RS_MAX_CORRECTION_TERMS):
     """Vectorized Hardy Z over a numpy array of t >= T_MIN.
 
     Evaluates the Riemann-Siegel main sum 2 * sum_{n <= N} cos(theta - t ln n)/sqrt(n)
@@ -207,8 +201,7 @@ def hardy_z_many(t, *, correction_terms: int = RS_MAX_CORRECTION_TERMS,
     inv_sqrt_n = 1.0 / np.sqrt(n)
 
     out = np.empty_like(t)
-    # ~2 MB chunk temporaries: faster than 8M-element chunks, ~6x less peak RSS
-    chunk = max(1, max_chunk_elems // max(1, n_max))
+    chunk = max(1, _CHUNK_ELEMS // max(1, n_max))
     for i in range(0, t.size, chunk):
         sl = slice(i, min(i + chunk, t.size))
         # phases carried in longdouble and reduced mod 2*pi before the cosine
@@ -250,19 +243,19 @@ def z_tilde_sq(t: float) -> float:
 # High-precision oracle (mpmath)
 # ---------------------------------------------------------------------------
 
-def theta_oracle(t: float, oracle: HiPrecOracle = HiPrecOracle()) -> float:
+def theta_oracle(t: float) -> float:
     """theta(t) = Im log Gamma(1/4 + it/2) - (t/2) ln pi, exact to working digits."""
     import mpmath as mp
 
     if t <= 0:
         raise ValueError("theta_oracle requires t > 0")
-    with mp.workdps(oracle.working_digits + 10):
+    with mp.workdps(ORACLE_DIGITS + 10):
         v = mp.im(mp.loggamma(mp.mpf("0.25") + 0.5j * mp.mpf(t))) \
             - mp.mpf(t) / 2 * mp.log(mp.pi)
         return float(v)
 
 
-def hardy_z_oracle(t: float, oracle: HiPrecOracle = HiPrecOracle()) -> float:
+def hardy_z_oracle(t: float) -> float:
     """Reference Z(t) = Re(e^{i theta(t)} zeta(1/2 + it)) at oracle precision.
 
     Independent of the fast Riemann-Siegel path above: theta comes from exact
@@ -273,12 +266,12 @@ def hardy_z_oracle(t: float, oracle: HiPrecOracle = HiPrecOracle()) -> float:
 
     if t <= 0:
         raise ValueError("hardy_z_oracle requires t > 0")
-    with mp.workdps(oracle.working_digits + 10):
+    with mp.workdps(ORACLE_DIGITS + 10):
         th = mp.im(mp.loggamma(mp.mpf("0.25") + 0.5j * mp.mpf(t))) \
             - mp.mpf(t) / 2 * mp.log(mp.pi)
         w = mp.exp(1j * th) * mp.zeta(mp.mpc(0.5, t))
         scale = max(1.0, abs(w))
-        if abs(mp.im(w)) > scale * mp.mpf(10) ** (-(oracle.working_digits - 5)):
+        if abs(mp.im(w)) > scale * mp.mpf(10) ** (-(ORACLE_DIGITS - 5)):
             raise PrecisionError(f"oracle did not converge at t={t}")
         return float(mp.re(w))
 

@@ -32,7 +32,7 @@ def timed_theorem(default_cfg):
 
 def test_criterion_1_substitution_identity(default_ctx):
     q = QuadSpec(abs_tol=1e-6)
-    m = default_ctx.ode
+    m = default_ctx.ladder
     T, U = 1e6, 500.0
     fs = {
         "1": lambda t: np.ones_like(t),
@@ -152,7 +152,7 @@ def test_criterion_8_structural_invariants(default_ctx, rng):
     for coll, half in ((default_ctx.g1, math.pi / 2), (default_ctx.g2, math.pi / 2)):
         assert abs(coll.measure() * math.pi / (half * w.H) - 1.0) <= 0.02
     # mirror-inverse round trip
-    m = default_ctx.ode
+    m = default_ctx.ladder
     mirrored = default_ctx.mirrored(default_ctx.g1)
     ends = np.concatenate([mirrored.lows, mirrored.highs])
     orig = np.concatenate([default_ctx.g1.lows, default_ctx.g1.highs])

@@ -29,7 +29,6 @@ def test_default_config_valid():
     cfg = ExperimentConfig()
     assert cfg.T == 1e6
     assert cfg.window.H == 1e3
-    assert cfg.ladder_kind == "ode"
 
 
 def test_config_validation():
@@ -37,8 +36,6 @@ def test_config_validation():
         ExperimentConfig(x=0.0)
     with pytest.raises(ValueError):
         ExperimentConfig(y=2.0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(ladder_kind="exact")
     with pytest.raises(ValueError):
         ExperimentConfig(T=100.0)
 
@@ -64,9 +61,10 @@ def test_config_from_file_and_overrides(tmp_path):
 
 def test_config_file_rejects_unknown_key(tmp_path):
     p = tmp_path / "bad.cfg"
-    p.write_text("tee = 1\n")
-    with pytest.raises(ValueError):
-        config_from_file(p)
+    for key in ("tee", "ladder_kind"):
+        p.write_text(f"{key} = 1\n")
+        with pytest.raises(ValueError):
+            config_from_file(p)
     p.write_text("just a line\n")
     with pytest.raises(ValueError):
         config_from_file(p)
@@ -84,8 +82,7 @@ def test_mean_value_budget_shape():
 
 def _report(**kw):
     base = dict(experiment_id="x", measured=1.0, predicted=1.0,
-                error_estimate=0.0, paper_eq="1.5", verdict="pass",
-                tolerance=0.1)
+                error_estimate=0.0, paper_eq="1.5", tolerance=0.1)
     base.update(kw)
     return VerificationReport(**base)
 
@@ -98,18 +95,14 @@ def test_report_eq_tag_vocabulary():
 
 
 def test_report_verdict_consistency():
-    with pytest.raises(ValueError):
-        _report(measured=2.0, verdict="pass")  # |2-1| > 0.1
-    with pytest.raises(ValueError):
-        _report(verdict="fail")  # |1-1| <= 0.1
-    with pytest.raises(ValueError):
-        _report(verdict="maybe")
+    assert _report().verdict == "pass"  # |1-1| <= 0.1
+    assert _report(measured=2.0).verdict == "fail"  # |2-1| > 0.1
+    with pytest.raises(TypeError):
+        _report(verdict="pass")
 
 
 def test_report_pass_requires_converged_integrals():
-    with pytest.raises(ValueError):
-        _report(metadata={"converged": False})
-    assert _report(verdict="fail", metadata={"converged": False}).verdict == "fail"
+    assert _report(metadata={"converged": False}).verdict == "fail"
     assert _report(metadata={"converged": True}).verdict == "pass"
 
 
@@ -149,7 +142,7 @@ def test_verify_theorem_small_window_substitution_exact():
 
 def test_ode_ladder_calls_no_kernel_after_build(monkeypatch):
     ctx = harness.ExperimentContext(ExperimentConfig(**SMALL))
-    m = ctx.ode
+    m = ctx.ladder
     kernel = rscore.hardy_z_many
     points = []
 
@@ -206,9 +199,8 @@ def test_ode_ladder_built_only_when_used(monkeypatch, tmp_path):
     builds = _count_calls(monkeypatch, ladder, "ladder_ode")
     cfg = ExperimentConfig(**SMALL)
     harness.scan_shape(cfg)
+    assert run_cli(_argv("grid", tmp_path)) == 0
     assert run_cli(_argv("integrate", tmp_path)) == 0
-    assert run_cli(_argv("ladder", tmp_path, "--ladder", "asymptotic")) == 0
-    assert run_cli(_argv("verify-theorem", tmp_path, "--ladder", "asymptotic")) in (0, 1)
     assert builds == []
     harness.ExperimentContext(cfg).ladder
     assert len(builds) == 1
@@ -266,14 +258,6 @@ def test_sign_area_requires_equal_angles():
         harness.verify_sign_area(ExperimentConfig(x=1.0, y=0.5))
 
 
-def test_scan_shape_validation():
-    cfg = ExperimentConfig(**SMALL)
-    with pytest.raises(ValueError):
-        harness.scan_shape(cfg, x_grid=[0.1, 0.2])
-    with pytest.raises(ValueError):
-        harness.scan_shape(cfg, x_grid=[0.0] + [0.1 * k for k in range(1, 8)])
-
-
 def test_separation_report_passes_at_default_window():
     r = harness.separation_report(ExperimentConfig())
     assert r.paper_eq == "1.8"
@@ -298,22 +282,22 @@ def test_cli_grid_and_gsets(tmp_path):
 
 
 def test_cli_ladder_and_integrate(tmp_path):
-    assert run_cli(_argv("ladder", tmp_path, "--ladder", "asymptotic")) == 0
-    assert (tmp_path / "ladder-asymptotic.csv").exists()
+    assert run_cli(_argv("ladder", tmp_path)) == 0
+    assert (tmp_path / "ladder-ode.csv").exists()
     assert run_cli(_argv("integrate", tmp_path, "--set", "g2")) == 0
 
 
 def test_cli_ladder_tabulates_only_the_mirrored_window(tmp_path):
-    # the window's mirror at T = 1e3 is about H / (1 - 0.42 / ln T) = 27 wide
-    assert run_cli(_argv("ladder", tmp_path, "--ladder", "asymptotic")) == 0
-    rows = np.loadtxt(tmp_path / "ladder-asymptotic.csv", delimiter=",", skiprows=2)
+    # Z~^2 has mean value about 1, so the window's mirror is about H wide
+    assert run_cli(_argv("ladder", tmp_path)) == 0
+    rows = np.loadtxt(tmp_path / "ladder-ode.csv", delimiter=",", skiprows=2)
     assert 25 <= len(rows) <= 1.2 * 25 + 2
 
 
 def test_cli_ode_ladder_table_spans_the_mirrored_window(tmp_path):
-    assert run_cli(_argv("ladder", tmp_path, "--ladder", "ode")) == 0
+    assert run_cli(_argv("ladder", tmp_path)) == 0
     rows = np.loadtxt(tmp_path / "ladder-ode.csv", delimiter=",", skiprows=2)
-    ode = harness.ExperimentContext(ExperimentConfig(T=1e3, H_override=25.0)).ode
+    ode = harness.ExperimentContext(ExperimentConfig(T=1e3, H_override=25.0)).ladder
     assert rows[0, 0] == ladder.mirror_point(ode, 1e3)
     assert rows[-1, 0] == ladder.mirror_point(ode, 1e3 + 25.0)
     assert rows[0, 1] == pytest.approx(1e3, abs=1e-6)

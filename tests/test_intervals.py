@@ -35,13 +35,6 @@ def test_measure_and_contains():
     assert len(c) == 2
 
 
-def test_window_hull_default_and_violation():
-    c = IntervalCollection(((1.0, 2.0), (3.0, 4.0)))
-    assert c.window == (1.0, 4.0)
-    with pytest.raises(ValueError):
-        IntervalCollection(((1.0, 2.0),), "other", (1.5, 3.0))
-
-
 def test_union_merges_sorted():
     a = IntervalCollection(((0.0, 1.0), (4.0, 5.0)), "G1")
     b = IntervalCollection(((2.0, 3.0),), "G2")
@@ -83,7 +76,14 @@ def test_json_round_trip_bit_exact():
     back = IntervalCollection.from_json(c.to_json())
     assert back.intervals == c.intervals
     assert back.label == c.label
-    assert back.window == c.window
+
+
+def test_schema_1_json_with_window_still_loads():
+    # gsets wrote a "window" hull into g1.json / g2.json before schema 2
+    text = ('{"intervals": [[1.0, 2.0], [3.0, 4.5]], "label": "G1", '
+            '"schema_version": 1, "window": [0.5, 5.0]}')
+    c = IntervalCollection.from_json(text)
+    assert c == IntervalCollection(((1.0, 2.0), (3.0, 4.5)), "G1")
 
 
 def test_csv_round_trip_bit_exact():

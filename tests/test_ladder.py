@@ -311,13 +311,13 @@ def test_ladder_csv_round_trip(tmp_path, ode_small):
     # the table holds the model's own values at evenly spaced t, bit-exactly
     path = tmp_path / "ladder.csv"
     lo, hi = ode_small.lo + 1.0, ode_small.lo + 11.5
-    save_ladder_csv(ode_small, path, lo, hi, step=0.05)
+    save_ladder_csv(ode_small, path, lo, hi)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# kind=ode anchor=")
     assert lines[1] == "t,phi1,dphi1"
     data = np.loadtxt(path, delimiter=",", skiprows=2)
     ts = data[:, 0]
     assert ts[0] == lo and ts[-1] == hi
-    assert len(ts) == 211 and np.diff(ts).max() == pytest.approx(0.05)
+    assert len(ts) == 12 and np.diff(ts).max() == pytest.approx(10.5 / 11)
     assert np.array_equal(data[:, 1], ode_small.eval(ts))
     assert np.array_equal(data[:, 2], ode_small.deriv(ts))

@@ -240,7 +240,7 @@ def _worklist_reference(f, c, q, cuts):
             break
         splittable = [p for p in live if p[2] < q.max_depth]
         to_split = [p for p in splittable if p[4] > tol * (p[1] - p[0]) / c.measure()]
-        if not splittable:
+        if not to_split and math.fsum(p[4] for p in live if p[2] >= q.max_depth) > tol:
             return QuadratureOutcome(math.fsum(p[3] for p in live),
                                      math.fsum(p[4] for p in live),
                                      evaluations, subdivisions, False)
@@ -259,6 +259,16 @@ def _step(x):
     # a jump no depth resolves: once its panel reaches max_depth, the loop
     # splits the worst splittable panel, one per generation
     return np.sign(x - math.sqrt(2)) + 0.1 * x
+
+
+def test_unreachable_tolerance_stops_early():
+    # the jump's panels at max_depth alone exceed the budget: stop there
+    # rather than split every other panel down to max_depth (2^20 panels)
+    c = IntervalCollection(((0.0, 2.5), (3.0, 7.0), (7.0, 10.0)))
+    out = integrate_collection(_step, c, QuadSpec(rel_tol=1e-9, abs_tol=1e-9,
+                                                  max_depth=20))
+    assert out.converged is False
+    assert out.subdivisions <= 100
 
 
 @settings(max_examples=60, deadline=None)
