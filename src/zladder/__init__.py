@@ -8,35 +8,21 @@ from .gridsets import (
     build_g1,
     build_g2,
     grid_range,
+    invert_theta,
     sign_partition,
-    solve_grid_point,
 )
 from .harness import ExperimentConfig, VerificationReport
 from .intervals import IntervalCollection
 from .ladder import (
+    AsymptoticLadder,
     LadderModel,
-    PrimeCounter,
-    ladder_asymptotic,
     ladder_ode,
     mirror_collection,
-    mirror_point,
-    pi_count,
+    prime_pi,
     separation_rho,
 )
-from .quadrature import (
-    QuadSpec,
-    QuadratureOutcome,
-    integrate_collection,
-    integrate_interval,
-)
-from .rscore import (
-    hardy_z,
-    hardy_z_many,
-    hardy_z_oracle,
-    theta,
-    theta_deriv,
-    z_tilde_sq,
-)
+from .quadrature import QuadSpec, QuadratureOutcome, integrate_collection
+from .rscore import hardy_z_many, hardy_z_oracle, theta, theta_deriv
 
 __version__ = "0.1.0"
 

@@ -15,9 +15,11 @@ import sys
 import time
 from pathlib import Path
 
-from . import harness, ladder as ladder_mod
+import numpy as np
+
+from . import harness, ladder as ladder_mod, rscore
 from .gridsets import build_g1, build_g2, grid_range
-from .harness import ExperimentConfig, ExperimentContext
+from .harness import ExperimentContext
 from .quadrature import integrate_collection
 
 
@@ -40,14 +42,6 @@ def _add_common_flags(p: argparse.ArgumentParser):
         p.add_argument(flag, type=kind, default=None, dest=key)
 
 
-def _config_from_args(args) -> ExperimentConfig:
-    overrides = {key: getattr(args, key) for _, key, _ in _COMMON_FLAGS
-                 if getattr(args, key) is not None}
-    if args.config:
-        return harness.config_from_file(args.config, overrides)
-    return harness._config_from_strings(overrides)
-
-
 def _write_csv(path: Path, header, rows):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -65,8 +59,7 @@ def _finish(cfg, reports, t0, name) -> int:
     return 1 if harness.hard_failures(reports) else 0
 
 
-def _cmd_grid(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_grid(args, cfg) -> int:
     points = grid_range(cfg.window)
     _write_csv(Path(cfg.output_dir) / "grid.csv", ["nu", "tau", "t"],
                [[g.nu, repr(g.tau), repr(g.t)] for g in points])
@@ -74,8 +67,7 @@ def _cmd_grid(args) -> int:
     return 0
 
 
-def _cmd_gsets(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_gsets(args, cfg) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, coll in (("g1", build_g1(cfg.window, cfg.x)),
@@ -86,11 +78,10 @@ def _cmd_gsets(args) -> int:
     return 0
 
 
-def _cmd_ladder(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_ladder(args, cfg) -> int:
     model = ExperimentContext(cfg).ladder
     w = cfg.window
-    lo, hi = (ladder_mod.mirror_point(model, t) for t in (w.T, w.T + w.H))
+    lo, hi = model.invert(np.array([w.T, w.T + w.H]))
     path = Path(cfg.output_dir) / f"ladder-{model.kind}.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
     ladder_mod.save_ladder_csv(model, path, lo, hi)
@@ -98,12 +89,12 @@ def _cmd_ladder(args) -> int:
     return 0
 
 
-def _cmd_integrate(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_integrate(args, cfg) -> int:
     t0 = time.time()
     ctx = ExperimentContext(cfg)
     coll = ctx.g1 if args.set == "g1" else ctx.g2
-    out = integrate_collection(ctx.z, coll, cfg.quad, initial_cuts=ctx.grid_cuts)
+    out = integrate_collection(rscore.hardy_z_many, coll, cfg.quad,
+                               initial_cuts=ctx.grid_cuts)
     sgn = 1.0 if args.set == "g1" else -1.0
     amp = math.sin(cfg.x if args.set == "g1" else cfg.y)
     pred = sgn * 2.0 / math.pi * ctx.w.H * amp
@@ -120,18 +111,17 @@ _VERIFY = {
     "verify-theorem": "verify_theorem",
     "verify-corollaries": "verify_corollaries",
     "sign-area": "verify_sign_area",
+    "verify-separation": "verify_separation",
 }
 
 
-def _cmd_verify(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_verify(args, cfg) -> int:
     t0 = time.time()
     reports = getattr(harness, _VERIFY[args.command])(cfg)
     return _finish(cfg, reports, t0, args.command)
 
 
-def _cmd_scan_shape(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_scan_shape(args, cfg) -> int:
     t0 = time.time()
     rows, report = harness.scan_shape(cfg)
     _write_csv(Path(cfg.output_dir) / "scan-shape.csv",
@@ -140,8 +130,7 @@ def _cmd_scan_shape(args) -> int:
     return _finish(cfg, [report], t0, "scan-shape")
 
 
-def _cmd_report(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_report(args, cfg) -> int:
     paths = sorted(Path(cfg.output_dir).glob("*.json"))
     if not paths:
         print("no report files found", file=sys.stderr)
@@ -180,7 +169,13 @@ def run_cli(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    return handlers[args.command](args)
+    try:
+        cfg = harness.config_from_file(
+            args.config, {key: getattr(args, key) for _, key, _ in _COMMON_FLAGS})
+    except (OSError, ValueError) as exc:
+        print(f"zladder {args.command}: {exc}", file=sys.stderr)
+        return 2
+    return handlers[args.command](args, cfg)
 
 
 def main():

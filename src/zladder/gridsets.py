@@ -58,12 +58,12 @@ class WindowSpec:
     H_override: float | None = None
 
     def __post_init__(self):
-        if self.T < 1.0e3:
-            raise ValueError("window requires T >= 1e3")
+        if not 1.0e3 <= self.T < math.inf:
+            raise ValueError("window requires a finite T >= 1e3")
         if not 0.0 < self.epsilon < 1.0 / 12.0:
             raise ValueError("epsilon must lie in (0, 1/12)")
-        if self.H_override is not None and self.H_override <= 0:
-            raise ValueError("H_override must be positive")
+        if self.H_override is not None and not 0.0 < self.H_override < math.inf:
+            raise ValueError("H_override must be finite and positive")
         if self.T + self.H > T_MAX:
             raise ValueError(f"window exceeds validated range (T + H <= {T_MAX:g})")
 
@@ -115,15 +115,6 @@ def invert_theta(targets):
         f"theta solve did not converge for target {targets[idx]!r}; "
         f"bracket [{lo[idx]!r}, {hi[idx]!r}], residual {resid[idx]!r}"
     )
-
-
-def solve_grid_point(nu: int, tau: float) -> GramLikePoint:
-    """Solve theta(t) = pi*nu + tau for one grid point."""
-    if not -math.pi <= tau <= math.pi:
-        raise ValueError("tau must lie in [-pi, pi]")
-    target = math.pi * nu + tau
-    t = float(invert_theta(np.array([target]))[0])
-    return GramLikePoint(nu=nu, tau=float(tau), t=t)
 
 
 def grid_range(w: WindowSpec) -> list[GramLikePoint]:

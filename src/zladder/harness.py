@@ -30,7 +30,7 @@ from .quadrature import QuadSpec, integrate_collection
 REPORT_SCHEMA_VERSION = 5
 
 #: Closed vocabulary of equation tags a report may cite.
-EQ_TAGS = ("1.5", "1.6", "1.8", "2.1", "C2", "3.2", "4.1", "4.2", "4.4", "4.5")
+EQ_TAGS = ("1.5", "1.8", "2.1", "C2", "3.2", "4.4", "4.5")
 
 #: Error-budget constant for the mean-value rows: budget = KAPPA * T^(1/6+eps).
 #: Fitted once on the calibration windows T in {5e5, 2e6} (H = 1e3, x = pi/2,
@@ -75,10 +75,11 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
 
-def config_from_file(path, overrides: dict | None = None) -> ExperimentConfig:
-    """Read a flat ``key = value`` config file; ``overrides`` win over file keys."""
+def config_from_file(path=None, overrides: dict | None = None) -> ExperimentConfig:
+    """Read a flat ``key = value`` config file, when a path is given;
+    ``overrides`` that are not None win over file keys."""
     values: dict = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in Path(path).read_text().splitlines() if path is not None else ():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -88,10 +89,6 @@ def config_from_file(path, overrides: dict | None = None) -> ExperimentConfig:
         values[key] = val
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
-    return _config_from_strings(values)
-
-
-def _config_from_strings(values: dict) -> ExperimentConfig:
     kw: dict = {}
     quad_kw: dict = {}
     for key, val in values.items():
@@ -168,15 +165,12 @@ class ExperimentContext:
         self._mirrors: dict = {}
         self._mirrored_integrals: dict = {}
 
-    def z(self, ts):
-        return rscore.hardy_z_many(np.asarray(ts, dtype=float))
-
     @functools.cached_property
     def ladder(self) -> ladder_mod.OdeLadder:
         """ODE ladder whose image covers the window and both G sets with a
         margin of 3, anchored on the asymptotic model; built on first use."""
         margin = 3.0
-        asym = ladder_mod.ladder_asymptotic(10.0, 4.0 * self.cfg.T + 1e6)
+        asym = ladder_mod.AsymptoticLadder(10.0, 4.0 * self.cfg.T + 1e6)
         sets = [c for c in (self.g1, self.g2) if len(c)]
         lo_hull = min([self.w.T] + [c.intervals[0][0] for c in sets])
         hi_hull = max([self.w.T + self.w.H] + [c.intervals[-1][1] for c in sets])
@@ -213,7 +207,7 @@ class ExperimentContext:
     def pushforward_z(self, ts):
         """Z(phi_1(t)) * Z~^2(t), the mirrored-side integrand."""
         m = self.ladder
-        return self.z(np.asarray(m.eval(ts))) * np.asarray(m.deriv(ts))
+        return rscore.hardy_z_many(np.asarray(m.eval(ts))) * np.asarray(m.deriv(ts))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +244,8 @@ def verify_theorem(cfg: ExperimentConfig, ctx: ExperimentContext | None = None) 
         ("g2", ctx.g2, -1.0, math.sin(cfg.y)),
     ):
         pred = sgn * 2.0 / math.pi * H * amp
-        out = integrate_collection(ctx.z, coll, q, initial_cuts=ctx.grid_cuts)
+        out = integrate_collection(rscore.hardy_z_many, coll, q,
+                                   initial_cuts=ctx.grid_cuts)
         mout = ctx.mirrored_integral(coll)
         for kind, o, eq in (("direct", out, "4.5"), ("mirrored", mout, "1.5")):
             meta = _quad_meta(o)
@@ -313,15 +308,15 @@ def verify_corollaries(cfg: ExperimentConfig, ctx: ExperimentContext | None = No
     if at_half_pi:
         # closure of the mirrored union must cover [T-ring, (T+H)-ring]
         merged = ctx.mirrored_union
-        t_lo = ladder_mod.mirror_point(ctx.ladder, ctx.w.T)
-        t_hi = ladder_mod.mirror_point(ctx.ladder, ctx.w.T + ctx.w.H)
         # the grid is discrete, so the first and last covered intervals can
         # stop up to one grid spacing pi/theta'(t) short of the window edges;
         # subtract that structural slack (measured in mirrored coordinates)
-        spacing = math.pi / rscore.theta_deriv(ctx.w.T)
-        allow_lo = ladder_mod.mirror_point(ctx.ladder, ctx.w.T + spacing) - t_lo
-        allow_hi = t_hi - ladder_mod.mirror_point(
-            ctx.ladder, ctx.w.T + ctx.w.H - spacing)
+        T = ctx.w.T
+        spacing = math.pi / rscore.theta_deriv(T)
+        t_lo, t_hi, in_lo, in_hi = ctx.ladder.invert(
+            np.array([T, T + H, T + spacing, T + H - spacing])).tolist()
+        allow_lo = in_lo - t_lo
+        allow_hi = t_hi - in_hi
         gaps = [max(0.0, merged.intervals[0][0] - t_lo - allow_lo),
                 max(0.0, t_hi - merged.intervals[-1][1] - allow_hi)]
         for (_, hi), (lo2, _) in zip(merged.intervals, merged.intervals[1:]):
@@ -389,7 +384,8 @@ def scan_shape(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
     converged = True
     for x in SHAPE_X_GRID:
         coll = build_g1(ctx.w, x)
-        out = integrate_collection(ctx.z, coll, cfg.quad, initial_cuts=ctx.grid_cuts)
+        out = integrate_collection(rscore.hardy_z_many, coll, cfg.quad,
+                                   initial_cuts=ctx.grid_cuts)
         converged = converged and out.converged
         rows.append((x, out.value, 2.0 / math.pi * H * math.sin(x)))
     sines = np.array([math.sin(x) for x, _, _ in rows])
@@ -407,20 +403,17 @@ def scan_shape(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
     return rows, report
 
 
-def separation_report(cfg: ExperimentConfig,
-                      pc: ladder_mod.PrimeCounter | None = None) -> VerificationReport:
+def verify_separation(cfg: ExperimentConfig) -> list[VerificationReport]:
     """Separation law: rho against (1 - gamma) * pi(T), asymptotic ladder."""
     w = cfg.window
-    asym = ladder_mod.ladder_asymptotic(10.0, 4.0 * cfg.T + 1e6)
-    pc = pc or ladder_mod.PrimeCounter(limit=int(cfg.T) + 1)
-    rho, predicted = ladder_mod.separation_rho(w, asym, pc)
-    ratio = rho / predicted
-    return VerificationReport(
+    rho, predicted = ladder_mod.separation_rho(
+        w, ladder_mod.AsymptoticLadder(10.0, 4.0 * cfg.T + 1e6))
+    return [VerificationReport(
         experiment_id="separation.rho",
-        measured=ratio, predicted=1.0, error_estimate=0.0,
+        measured=rho / predicted, predicted=1.0, error_estimate=0.0,
         paper_eq="1.8", tolerance=0.05,
         metadata={"rho": rho, "predicted_rho": predicted, "H": w.H},
-    )
+    )]
 
 
 # ---------------------------------------------------------------------------

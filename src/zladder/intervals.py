@@ -65,10 +65,6 @@ class IntervalCollection:
     def measure(self) -> float:
         return float(sum(hi - lo for lo, hi in self.intervals))
 
-    def contains(self, t: float) -> bool:
-        i = np.searchsorted(self.lows, t) - 1
-        return i >= 0 and self.intervals[i][0] < t < self.intervals[i][1]
-
     # -- set algebra used by the harness ------------------------------------
 
     def union(self, other: "IntervalCollection",

@@ -20,7 +20,6 @@ Newton on a shrinking bracket.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -78,36 +77,21 @@ def li(t):
 # prime counting
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PrimeCounter:
-    """Exact prime counting by sieve up to ``limit``."""
+def prime_pi(x: float) -> int:
+    """Number of primes <= x, by a sieve over the odd numbers up to x.
 
-    limit: int = 2_000_000
-
-    def __post_init__(self):
-        self._cum = None
-
-    def _ensure_sieve(self):
-        if self._cum is None:
-            is_prime = np.ones(self.limit + 1, dtype=bool)
-            is_prime[:2] = False
-            for p in range(2, int(self.limit ** 0.5) + 1):
-                if is_prime[p]:
-                    is_prime[p * p:: p] = False
-            self._cum = np.cumsum(is_prime)
-
-    def count(self, t: float) -> int:
-        if t < 2:
-            return 0
-        if t > self.limit:
-            raise ValueError(f"t={t} exceeds sieve limit {self.limit}")
-        self._ensure_sieve()
-        return int(self._cum[int(math.floor(t))])
-
-
-def pi_count(t: float, pc: PrimeCounter | None = None) -> int:
-    """Number of primes <= t."""
-    return (pc or PrimeCounter()).count(t)
+    Entry i of the sieve stands for 2 i + 1, so it takes x/2 bytes, and the
+    primes are counted without a cumulative table.
+    """
+    n = int(math.floor(x))
+    if n < 2:
+        return 0
+    odd = np.ones((n + 1) // 2, dtype=bool)
+    odd[0] = False  # 1
+    for p in range(3, math.isqrt(n) + 1, 2):
+        if odd[p // 2]:
+            odd[p * p // 2::p] = False
+    return 1 + int(np.count_nonzero(odd))
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +278,6 @@ class OdeLadder(LadderModel):
         return self._cp_t[idx].copy(), self._cp_t[idx + 1].copy()
 
 
-def ladder_asymptotic(lo: float, hi: float) -> AsymptoticLadder:
-    """Asymptotic ladder model on [lo, hi]."""
-    return AsymptoticLadder(lo, hi)
-
-
 def ladder_ode(anchor_t: float, span: float, seed_model: LadderModel) -> OdeLadder:
     """ODE ladder on [anchor_t, anchor_t + span], anchored to the seed model."""
     anchor_value = float(np.asarray(seed_model.eval(np.array([anchor_t])))[0])
@@ -312,13 +291,8 @@ def ladder_ode(anchor_t: float, span: float, seed_model: LadderModel) -> OdeLadd
 _MIRROR_LABEL = {"G1": "mirrored-G1", "G2": "mirrored-G2"}
 
 
-def mirror_point(m: LadderModel, T: float) -> float:
-    """The preimage T-ring with phi_1(T-ring) = T."""
-    return float(np.asarray(m.invert(np.array([float(T)])))[0])
-
-
 def mirror_collection(m: LadderModel, c: IntervalCollection) -> IntervalCollection:
-    """Apply mirror_point to every endpoint; monotonicity preserves order."""
+    """The preimage of every endpoint under m; monotonicity preserves order."""
     label = _MIRROR_LABEL.get(c.label, "other")
     if len(c) == 0:
         return IntervalCollection((), label)
@@ -329,19 +303,19 @@ def mirror_collection(m: LadderModel, c: IntervalCollection) -> IntervalCollecti
     return IntervalCollection(tuple(zip(los, his)), label)
 
 
-def separation_rho(w, m: LadderModel, pc: PrimeCounter | None = None):
+def separation_rho(w, m: LadderModel):
     """Distance between [T, T+H] and its mirror, with the predicted value.
 
-    Returns (rho, predicted) where rho = T-ring - (T + H) and the prediction
-    is (1 - gamma) * pi(T) with exact sieve counts.
+    Returns (rho, predicted) where rho = T-ring - (T + H), T-ring the preimage
+    of T, and the prediction is (1 - gamma) * pi(T) with exact sieve counts.
     """
-    T_ring = mirror_point(m, w.T)
+    T_ring = m.invert(float(w.T))
     rho = T_ring - (w.T + w.H)
     if rho < 0:
         raise ArithmeticError(
             f"negative separation rho={rho}: model violates T+H < T-ring"
         )
-    predicted = (1.0 - EULER_GAMMA) * pi_count(w.T, pc)
+    predicted = (1.0 - EULER_GAMMA) * prime_pi(w.T)
     return rho, predicted
 
 

@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod quadrature over intervals and interval collections.
+"""Adaptive Gauss-Kronrod quadrature over interval collections.
 
 The G7/K15 pair gives an embedded error estimate per panel; panels that miss
 their share of the global budget are halved, breadth-first, with every
@@ -52,8 +52,10 @@ class QuadSpec:
     max_depth: int = 40
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        # a NaN tolerance would disable the stopping test and the max_depth
+        # exit with it, so the loop would split panels without end
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
         if not 1 <= self.max_depth <= 60:
             raise ValueError("max_depth must lie in [1, 60]")
 
@@ -106,14 +108,6 @@ def _panel_estimates(f, los, his):
             e,
         )
     return k15, damped, vals.shape[0] * vals.shape[1]
-
-
-def integrate_interval(f, lo: float, hi: float,
-                       q: QuadSpec = QuadSpec()) -> QuadratureOutcome:
-    """Integrate f over (lo, hi) to max(abs_tol, rel_tol*|value|)."""
-    if not lo < hi:
-        raise ValueError("integrate_interval requires lo < hi")
-    return _integrate_panels(f, np.array([float(lo)]), np.array([float(hi)]), hi - lo, q)
 
 
 def _integrate_panels(f, lo, hi, total_width, q: QuadSpec) -> QuadratureOutcome:
@@ -187,40 +181,4 @@ def integrate_collection(f, c: IntervalCollection, q: QuadSpec = QuadSpec(),
         lo = np.sort(np.concatenate([lo, cuts[inside]]))
         hi = np.sort(np.concatenate([cuts[inside], hi]))
     return _integrate_panels(f, lo, hi, c.measure(), q)
-
-
-# ---------------------------------------------------------------------------
-# substitution-identity checker
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TransformCheck:
-    lhs: QuadratureOutcome
-    rhs: QuadratureOutcome
-    residual: float
-
-    def budget(self, q: QuadSpec) -> float:
-        """Combined contract tolerance of the two quadratures."""
-        return self.lhs.tolerance(q) + self.rhs.tolerance(q)
-
-
-def transform_check(m, f, T: float, U: float, q: QuadSpec = QuadSpec()) -> TransformCheck:
-    """Change-of-variables audit: integrate f(phi(t)) * phi'(t) over the
-    mirrored preimage of [T, T+U] and f over [T, T+U] itself.
-
-    For a ladder model whose derivative is exactly the integrand that built
-    its eval (the ODE model), the two sides agree up to quadrature error no
-    matter how far the model is from the true ladder.
-    """
-    if not 0.0 < U <= T / math.log(T):
-        raise ValueError("U must lie in (0, T / ln T]")
-    t_lo = m.invert(T)
-    t_hi = m.invert(T + U)
-
-    def pushforward(ts):
-        return f(m.eval(ts)) * m.deriv(ts)
-
-    lhs = integrate_interval(pushforward, float(t_lo), float(t_hi), q)
-    rhs = integrate_interval(f, T, T + U, q)
-    return TransformCheck(lhs, rhs, abs(lhs.value - rhs.value))
 

@@ -221,22 +221,12 @@ def hardy_z_many(t, *, correction_terms: int = RS_MAX_CORRECTION_TERMS):
     return out
 
 
-def hardy_z(t: float) -> float:
-    """Scalar Hardy Z(t) on the fast path; t must be >= T_MIN."""
-    return float(hardy_z_many(np.array([float(t)]))[0])
-
-
 def z_tilde_sq_many(t):
     """Vectorized Z~^2(t) = Z(t)^2 / ln t (the asymptotically negligible
     1 + O(ln ln t / ln t) normalization is truncated to 1)."""
     t = np.asarray(t, dtype=float)
     z = hardy_z_many(t)
     return z * z / np.log(t)
-
-
-def z_tilde_sq(t: float) -> float:
-    """Scalar Z~^2(t); nonnegative, zero exactly at zeros of Z."""
-    return float(z_tilde_sq_many(np.array([float(t)]))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from zladder.gridsets import (
     grid_range,
     invert_theta,
     sign_partition,
-    solve_grid_point,
 )
 from zladder.intervals import IntervalCollection
 from zladder.rscore import theta, theta_deriv
@@ -29,21 +28,21 @@ GRAM_1 = 23.170282701246435
 # ---------------------------------------------------------------------------
 
 def test_classical_gram_points():
-    assert solve_grid_point(0, 0.0).t == pytest.approx(GRAM_0, abs=1e-8)
-    assert solve_grid_point(1, 0.0).t == pytest.approx(GRAM_1, abs=1e-8)
+    t0, t1 = invert_theta(np.array([0.0, math.pi]))
+    assert t0 == pytest.approx(GRAM_0, abs=1e-8)
+    assert t1 == pytest.approx(GRAM_1, abs=1e-8)
 
 
 def test_tau_pi_wraps_to_next_index():
     for nu in (3, 100, 54321):
-        a = solve_grid_point(nu, math.pi).t
-        b = solve_grid_point(nu + 1, 0.0).t
+        a, b = invert_theta(np.array([math.pi * nu + math.pi, math.pi * (nu + 1)]))
         assert a == pytest.approx(b, abs=1e-7)
 
 
 def test_grid_point_residuals():
     for nu, tau in ((5, 0.3), (1000, -1.2), (10 ** 6, math.pi / 2)):
-        g = solve_grid_point(nu, tau)
-        assert abs(theta(g.t) - (math.pi * nu + tau)) <= 1e-10 * g.t
+        t = invert_theta(np.array([math.pi * nu + tau]))[0]
+        assert abs(theta(t) - (math.pi * nu + tau)) <= 1e-10 * t
 
 
 def test_monotone_in_theta_target():
@@ -52,13 +51,8 @@ def test_monotone_in_theta_target():
     pairs = [(nu, tau) for nu in (10, 11, 12)
              for tau in (-math.pi, -1.0, 0.0, 1.0, math.pi)]
     pairs.sort(key=lambda p: math.pi * p[0] + p[1])
-    ts = [solve_grid_point(nu, tau).t for nu, tau in pairs]
+    ts = invert_theta(np.array([math.pi * nu + tau for nu, tau in pairs]))
     assert all(b > a - 1e-7 for a, b in zip(ts, ts[1:]))
-
-
-def test_tau_domain_enforced():
-    with pytest.raises(ValueError):
-        solve_grid_point(10, 3.2)
 
 
 def test_target_below_theta_floor_rejected():
@@ -88,6 +82,9 @@ def test_window_spec_defaults_and_validation():
         WindowSpec(1e8, H_override=1e6)  # exceeds validated range
     with pytest.raises(ValueError):
         WindowSpec(1e6, H_override=-1.0)
+    for T, H in ((math.nan, None), (1e6, math.nan), (math.inf, 1e3), (1e6, math.inf)):
+        with pytest.raises(ValueError):
+            WindowSpec(T, H_override=H)
 
 
 def test_grid_range_count_and_coverage():

@@ -3,10 +3,15 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zladder
 from zladder import harness, ladder, rscore
 from zladder.cli import run_cli
 from zladder.harness import (
@@ -38,6 +43,11 @@ def test_config_validation():
         ExperimentConfig(y=2.0)
     with pytest.raises(ValueError):
         ExperimentConfig(T=100.0)
+    # a NaN window passed every comparison and failed only in grid_range
+    with pytest.raises(ValueError):
+        ExperimentConfig(T=math.nan)
+    with pytest.raises(ValueError):
+        ExperimentConfig(H_override=math.nan)
 
 
 def test_config_from_file_and_overrides(tmp_path):
@@ -259,10 +269,12 @@ def test_sign_area_requires_equal_angles():
 
 
 def test_separation_report_passes_at_default_window():
-    r = harness.separation_report(ExperimentConfig())
+    [r] = harness.verify_separation(ExperimentConfig())
     assert r.paper_eq == "1.8"
     assert r.verdict == "pass"
     assert r.metadata["rho"] > 0
+    # pi(1e6) = 78498
+    assert r.metadata["predicted_rho"] == (1.0 - ladder.EULER_GAMMA) * 78498
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +310,8 @@ def test_cli_ode_ladder_table_spans_the_mirrored_window(tmp_path):
     assert run_cli(_argv("ladder", tmp_path)) == 0
     rows = np.loadtxt(tmp_path / "ladder-ode.csv", delimiter=",", skiprows=2)
     ode = harness.ExperimentContext(ExperimentConfig(T=1e3, H_override=25.0)).ladder
-    assert rows[0, 0] == ladder.mirror_point(ode, 1e3)
-    assert rows[-1, 0] == ladder.mirror_point(ode, 1e3 + 25.0)
+    assert rows[0, 0] == ode.invert(1e3)
+    assert rows[-1, 0] == ode.invert(1e3 + 25.0)
     assert rows[0, 1] == pytest.approx(1e3, abs=1e-6)
     assert rows[-1, 1] == pytest.approx(1e3 + 25.0, abs=1e-6)
     assert np.diff(rows[:, 0]).max() <= 1.0 + 1e-12
@@ -308,6 +320,44 @@ def test_cli_ode_ladder_table_spans_the_mirrored_window(tmp_path):
 def test_cli_usage_error_exit_2():
     assert run_cli(["no-such-command"]) == 2
     assert run_cli([]) == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--x", "5"), ("--abs-tol", "nan")])
+def test_cli_bad_config_value_exits_2(tmp_path, capsys, flag, value):
+    # a bad value is a usage error (2), not a failed verdict (1)
+    assert run_cli(_argv("verify-theorem", tmp_path, flag, value)) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "verify-theorem.json").exists()
+
+
+def test_cli_verify_separation(tmp_path):
+    assert run_cli(["verify-separation", "--T", "1e6", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "verify-separation.json").read_text())
+    [row] = payload["reports"]
+    assert row["paper_eq"] == "1.8"
+    assert row["verdict"] == "pass"
+
+
+def test_cli_verify_separation_memory_at_top_of_range(tmp_path):
+    # the sieve takes T/2 bytes: at T = 9.9e7 about 50 MB over the import.
+    # VmHWM is the peak of the child's own address space; ru_maxrss would
+    # carry over the peak of the forking test process through exec
+    script = ("import pathlib, re, sys\n"
+              "from zladder.cli import run_cli\n"
+              "rc = run_cli(sys.argv[1:])\n"
+              "status = pathlib.Path('/proc/self/status').read_text()\n"
+              "print(rc, re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n")
+    src = str(Path(zladder.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c", script, "verify-separation", "--T", "9.9e7",
+         "--H", "300", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True)
+    rc, peak_rss_kb = map(int, out.stdout.split()[-2:])
+    assert rc == 0
+    assert peak_rss_kb / 1024.0 <= 150.0
 
 
 def test_cli_verify_theorem_writes_report(tmp_path):

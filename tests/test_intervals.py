@@ -26,12 +26,11 @@ def test_unknown_label_rejected():
         IntervalCollection(((0.0, 1.0),), "G3")
 
 
-def test_measure_and_contains():
+def test_measure_and_endpoints():
     c = IntervalCollection(((0.0, 1.0), (2.0, 2.5)), "G1")
     assert c.measure() == 1.5
-    assert c.contains(0.5)
-    assert not c.contains(1.5)
-    assert not c.contains(1.0)  # open intervals
+    assert c.lows.tolist() == [0.0, 2.0]
+    assert c.highs.tolist() == [1.0, 2.5]
     assert len(c) == 2
 
 

@@ -14,21 +14,19 @@ from zladder.ladder import (
     EULER_GAMMA,
     PANEL_DEGREE,
     PANEL_WIDTH,
+    AsymptoticLadder,
     LadderConvergenceError,
     LadderModel,
     LadderRangeError,
     OdeLadder,
-    PrimeCounter,
-    ladder_asymptotic,
     ladder_ode,
     li,
     mirror_collection,
-    mirror_point,
-    pi_count,
+    prime_pi,
     save_ladder_csv,
     separation_rho,
 )
-from zladder.quadrature import QuadSpec, integrate_interval
+from zladder.quadrature import QuadSpec, integrate_collection
 
 
 # ---------------------------------------------------------------------------
@@ -36,13 +34,15 @@ from zladder.quadrature import QuadSpec, integrate_interval
 # ---------------------------------------------------------------------------
 
 def test_pi_count_small_values():
-    assert pi_count(2) == 1
-    assert pi_count(10) == 4
-    assert pi_count(1.9) == 0
+    assert prime_pi(2) == 1
+    assert prime_pi(3) == 2
+    assert prime_pi(10) == 4
+    for x in (1.9, 1.0, 0.0, -5.0):
+        assert prime_pi(x) == 0
 
 
 def test_pi_count_at_1e6():
-    assert pi_count(1e6, PrimeCounter(limit=1_000_000)) == 78498
+    assert prime_pi(1e6) == 78498
 
 
 def test_pi_count_matches_trial_division():
@@ -51,17 +51,11 @@ def test_pi_count_matches_trial_division():
             return False
         return all(n % d for d in range(2, int(n ** 0.5) + 1))
 
-    pc = PrimeCounter(limit=100_000)
     ref = 0
     for n in range(2, 100_001):
         ref += trial(n)
-        if n % 20000 == 0:
-            assert pc.count(n) == ref
-
-
-def test_pi_count_limit_enforced():
-    with pytest.raises(ValueError):
-        PrimeCounter(limit=100).count(101)
+        if n % 20000 == 0 or n < 50:
+            assert prime_pi(n) == ref
 
 
 def test_euler_constant_against_harmonic_sums():
@@ -86,33 +80,33 @@ def test_li_reference_value():
 # ---------------------------------------------------------------------------
 
 def test_asymptotic_below_identity():
-    m = ladder_asymptotic(10.0, 2e6)
+    m = AsymptoticLadder(10.0, 2e6)
     ts = np.geomspace(10.0, 2e6, 200)
     assert np.all(m.eval(ts) < ts)
 
 
 def test_asymptotic_matches_prime_counting():
-    m = ladder_asymptotic(10.0, 2e6)
+    m = AsymptoticLadder(10.0, 2e6)
     t = 1e6
-    ratio = (t - m.eval(t)) / ((1.0 - EULER_GAMMA) * pi_count(t, PrimeCounter(limit=1_000_001)))
+    ratio = (t - m.eval(t)) / ((1.0 - EULER_GAMMA) * prime_pi(t))
     assert 0.98 <= ratio <= 1.02
 
 
 def test_asymptotic_deriv_in_unit_interval():
-    m = ladder_asymptotic(10.0, 1e6)
+    m = AsymptoticLadder(10.0, 1e6)
     ts = np.geomspace(10.0, 1e6, 50)
     d = m.deriv(ts)
     assert np.all((d > 0.0) & (d < 1.0))
 
 
 def test_range_enforced():
-    m = ladder_asymptotic(100.0, 1000.0)
+    m = AsymptoticLadder(100.0, 1000.0)
     with pytest.raises(LadderRangeError):
         m.eval(50.0)
     with pytest.raises(LadderRangeError):
         m.invert(m.eval(100.0) - 10.0)
     with pytest.raises(ValueError):
-        ladder_asymptotic(5.0, 100.0)
+        AsymptoticLadder(5.0, 100.0)
 
 
 # ---------------------------------------------------------------------------
@@ -121,15 +115,15 @@ def test_range_enforced():
 
 @pytest.fixture(scope="module")
 def ode_small():
-    seed = ladder_asymptotic(10.0, 2e6)
+    seed = AsymptoticLadder(10.0, 2e6)
     return ladder_ode(1e6, 60.0, seed)
 
 
 def test_ode_fundamental_theorem(ode_small):
     m = ode_small
     a, b = m.lo + 3.0, m.lo + 47.0
-    ref = integrate_interval(lambda t: rscore.z_tilde_sq_many(t), a, b,
-                             QuadSpec(rel_tol=1e-11, abs_tol=1e-11))
+    ref = integrate_collection(rscore.z_tilde_sq_many, IntervalCollection(((a, b),)),
+                               QuadSpec(rel_tol=1e-11, abs_tol=1e-11))
     assert m.eval(b) - m.eval(a) == pytest.approx(ref.value, abs=1e-8)
 
 
@@ -144,7 +138,7 @@ def test_ode_deriv_is_z_tilde_sq(ode_small):
 
 
 def test_ode_anchor_and_validation():
-    seed = ladder_asymptotic(10.0, 2e6)
+    seed = AsymptoticLadder(10.0, 2e6)
     m = ladder_ode(1e6, 10.0, seed)
     assert m.anchor[0] == 1e6
     assert m.eval(1e6) == pytest.approx(seed.eval(1e6), abs=1e-12)
@@ -157,7 +151,7 @@ def test_ode_anchor_and_validation():
 
 def test_ode_vs_asymptotic_drift():
     # increments of the two models agree to 10% over a 1e3 span near 1e6
-    seed = ladder_asymptotic(10.0, 2e6)
+    seed = AsymptoticLadder(10.0, 2e6)
     m = ladder_ode(1e6, 1e3, seed)
     inc_ode = m.eval(m.hi) - m.eval(m.lo)
     inc_asym = seed.eval(m.hi) - seed.eval(m.lo)
@@ -189,12 +183,12 @@ def _assert_round_trip(m, t, tol=1e-10):
 @settings(max_examples=40, deadline=None)
 @given(t=st.floats(min_value=20.0, max_value=1e7))
 def test_invert_round_trip_asymptotic(t):
-    _assert_round_trip(ladder_asymptotic(10.0, 2e7), t)
+    _assert_round_trip(AsymptoticLadder(10.0, 2e7), t)
 
 
 @pytest.fixture(scope="module")
 def ode_tiny():
-    return ladder_ode(1e6, 10.0, ladder_asymptotic(10.0, 2e6))
+    return ladder_ode(1e6, 10.0, AsymptoticLadder(10.0, 2e6))
 
 
 @settings(max_examples=40, deadline=None)
@@ -231,7 +225,7 @@ def test_ode_panel_table_matches_kernel(T):
 
 
 def test_invert_raises_when_rounds_run_out():
-    m = ladder_asymptotic(10.0, 2e6)
+    m = AsymptoticLadder(10.0, 2e6)
     with pytest.raises(LadderConvergenceError):
         m.invert(1e6 + 123.456, max_iter=2)
     assert issubclass(LadderConvergenceError, ArithmeticError)
@@ -275,30 +269,29 @@ def test_mirror_preserves_order(ode_small):
 
 
 def test_mirror_point_inverse_identity():
-    m = ladder_asymptotic(10.0, 5e6)
+    m = AsymptoticLadder(10.0, 5e6)
     t = 1.23e6
-    assert mirror_point(m, m.eval(t)) == pytest.approx(t, abs=1e-6)
+    assert m.invert(m.eval(t)) == pytest.approx(t, abs=1e-6)
 
 
 def test_mirror_above_window():
-    m = ladder_asymptotic(10.0, 5e6)
+    m = AsymptoticLadder(10.0, 5e6)
     for T in (1e5, 1e6):
         w = WindowSpec(T, H_override=1e3)
-        assert mirror_point(m, T) > T + w.H
+        assert m.invert(T) > T + w.H
 
 
 def test_mirror_distance_tracks_prime_counts():
-    m = ladder_asymptotic(10.0, 5e6)
+    m = AsymptoticLadder(10.0, 5e6)
     T = 1e6
-    T_ring = mirror_point(m, T)
-    pc = PrimeCounter(limit=int(T_ring) + 10)
-    assert abs((T_ring - T) / ((1.0 - EULER_GAMMA) * pc.count(T_ring)) - 1.0) < 0.02
+    T_ring = m.invert(T)
+    assert abs((T_ring - T) / ((1.0 - EULER_GAMMA) * prime_pi(T_ring)) - 1.0) < 0.02
 
 
 def test_separation_rho():
-    m = ladder_asymptotic(10.0, 5e6)
+    m = AsymptoticLadder(10.0, 5e6)
     w = WindowSpec(1e6, H_override=1e3)
-    rho, pred = separation_rho(w, m, PrimeCounter(limit=1_000_001))
+    rho, pred = separation_rho(w, m)
     assert rho > 0
     assert rho / pred == pytest.approx(1.0, abs=0.05)
 

@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod integration and the substitution-identity checker."""
+"""Adaptive Gauss-Kronrod integration and the substitution identity."""
 
 import math
 
@@ -10,18 +10,21 @@ from hypothesis import strategies as st
 from zladder import rscore
 from zladder.gridsets import WindowSpec, build_g1
 from zladder.intervals import IntervalCollection
-from zladder.ladder import ladder_asymptotic
+from zladder.ladder import AsymptoticLadder
 from zladder.quadrature import (
     QuadratureError,
     QuadratureOutcome,
     QuadSpec,
     _panel_estimates,
     integrate_collection,
-    integrate_interval,
-    transform_check,
 )
 
 TIGHT = QuadSpec(rel_tol=1e-13, abs_tol=1e-13)
+
+
+def _integrate(f, lo, hi, q=QuadSpec()):
+    """f over the single interval (lo, hi)."""
+    return integrate_collection(f, IntervalCollection(((lo, hi),)), q)
 
 
 def test_quad_spec_validation():
@@ -31,10 +34,16 @@ def test_quad_spec_validation():
         QuadSpec(abs_tol=-1.0)
     with pytest.raises(ValueError):
         QuadSpec(max_depth=61)
+    # with abs_tol = nan the loop never met its stopping test and split past
+    # max_depth without end; rel_tol = nan was silently dropped by max()
+    for tols in (dict(abs_tol=math.nan), dict(rel_tol=math.nan),
+                 dict(abs_tol=math.inf), dict(rel_tol=math.inf)):
+        with pytest.raises(ValueError):
+            QuadSpec(**tols)
 
 
 def test_sin_integral_to_machine_accuracy():
-    out = integrate_interval(np.sin, 0.0, math.pi, TIGHT)
+    out = _integrate(np.sin, 0.0, math.pi, TIGHT)
     assert out.converged
     assert abs(out.value - 2.0) < 1e-12
 
@@ -42,14 +51,16 @@ def test_sin_integral_to_machine_accuracy():
 def test_additivity():
     a, b, c = 0.0, 1.3, 4.0
     f = lambda x: np.exp(-x) * np.cos(5 * x)
-    whole = integrate_interval(f, a, c, TIGHT)
-    parts = integrate_interval(f, a, b, TIGHT).combine(integrate_interval(f, b, c, TIGHT))
+    whole = _integrate(f, a, c, TIGHT)
+    parts = _integrate(f, a, b, TIGHT).combine(_integrate(f, b, c, TIGHT))
     assert whole.value == pytest.approx(parts.value, abs=1e-11)
 
 
 def test_interval_requires_lo_below_hi():
     with pytest.raises(ValueError):
-        integrate_interval(np.sin, 1.0, 1.0)
+        _integrate(np.sin, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        _integrate(np.sin, 2.0, 1.0)
 
 
 def test_empty_collection_rejected():
@@ -59,9 +70,8 @@ def test_empty_collection_rejected():
 
 def test_single_interval_collection_reduces_to_interval():
     c = IntervalCollection(((0.0, math.pi),))
-    a = integrate_collection(np.sin, c, TIGHT)
-    b = integrate_interval(np.sin, 0.0, math.pi, TIGHT)
-    assert a.value == b.value
+    assert integrate_collection(np.sin, c, TIGHT) == _worklist_reference(
+        np.sin, c, TIGHT, [])
 
 
 def test_deterministic_outcomes():
@@ -76,7 +86,7 @@ def test_deterministic_outcomes():
 
 def test_max_depth_exhaustion_flagged():
     f = lambda x: np.sign(x - math.sqrt(2) / 2)  # jump the rule cannot resolve
-    out = integrate_interval(f, 0.0, 1.0, QuadSpec(rel_tol=1e-15, abs_tol=1e-15, max_depth=4))
+    out = _integrate(f, 0.0, 1.0, QuadSpec(rel_tol=1e-15, abs_tol=1e-15, max_depth=4))
     assert not out.converged
     assert out.error_estimate > 1e-15
 
@@ -89,7 +99,7 @@ def test_non_finite_integrand_raises_after_one_generation():
         return np.where(x < 0.5, np.nan, 1.0)
 
     with pytest.raises(QuadratureError):
-        integrate_interval(f, 0.0, 1.0, QuadSpec(max_depth=10))
+        _integrate(f, 0.0, 1.0, QuadSpec(max_depth=10))
     assert len(calls) == 1
 
 
@@ -107,14 +117,14 @@ def test_error_estimate_honesty():
     ]
     ok = 0
     for f, lo, hi, truth in cases:
-        out = integrate_interval(f, lo, hi, QuadSpec(rel_tol=1e-10, abs_tol=1e-10))
+        out = _integrate(f, lo, hi, QuadSpec(rel_tol=1e-10, abs_tol=1e-10))
         if abs(out.value - truth) <= 10.0 * max(out.error_estimate, 1e-15):
             ok += 1
     assert ok >= len(cases) - 1  # >= 99% on a large suite; here allow one miss
 
 
 def test_tolerance_contract():
-    out = integrate_interval(np.sin, 0.0, math.pi, QuadSpec(rel_tol=1e-6, abs_tol=1e-9))
+    out = _integrate(np.sin, 0.0, math.pi, QuadSpec(rel_tol=1e-6, abs_tol=1e-9))
     q = QuadSpec(rel_tol=1e-6, abs_tol=1e-9)
     assert out.tolerance(q) == pytest.approx(1e-6 * abs(out.value))
 
@@ -125,7 +135,7 @@ def test_z_integral_matches_oversampled_fixed_panel():
     w = WindowSpec(1e6, H_override=50.0)
     lo, hi = build_g1(w, math.pi / 2).intervals[0]
     f = lambda t: rscore.hardy_z_many(t)
-    adaptive = integrate_interval(f, lo, hi, QuadSpec(rel_tol=1e-10, abs_tol=1e-12))
+    adaptive = _integrate(f, lo, hi, QuadSpec(rel_tol=1e-10, abs_tol=1e-12))
     cuts = np.linspace(lo, hi, 161)
     x, wts = np.polynomial.legendre.leggauss(15)
     mid, hw = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * np.diff(cuts)
@@ -144,9 +154,9 @@ def _wiggly(x):
 def test_additivity_within_contract_tolerances(a, w1, w2, tol):
     q = QuadSpec(rel_tol=tol, abs_tol=tol)
     b, c = a + w1, a + w1 + w2
-    whole = integrate_interval(_wiggly, a, c, q)
-    left = integrate_interval(_wiggly, a, b, q)
-    right = integrate_interval(_wiggly, b, c, q)
+    whole = _integrate(_wiggly, a, c, q)
+    left = _integrate(_wiggly, a, b, q)
+    right = _integrate(_wiggly, b, c, q)
     assert whole.converged and left.converged and right.converged
     budget = whole.tolerance(q) + left.tolerance(q) + right.tolerance(q)
     assert abs(whole.value - (left.value + right.value)) <= budget
@@ -184,42 +194,44 @@ def test_oscillation_safety_node_density():
 # substitution identity
 # ---------------------------------------------------------------------------
 
-def test_transform_constant_f():
-    m = ladder_asymptotic(10.0, 5e6)
+def test_transform_constant_f(substitution):
+    m = AsymptoticLadder(10.0, 5e6)
     T, U = 1e6, 300.0
-    chk = transform_check(m, lambda t: np.ones_like(t), T, U)
-    assert chk.rhs.value == pytest.approx(U, abs=1e-9)
-    assert chk.residual <= chk.budget(QuadSpec())
+    q = QuadSpec()
+    lhs, rhs = substitution(m, lambda t: np.ones_like(t), T, U, q)
+    assert rhs.value == pytest.approx(U, abs=1e-9)
+    assert abs(lhs.value - rhs.value) <= lhs.tolerance(q) + rhs.tolerance(q)
 
 
-def test_transform_random_cubic(rng):
+def test_transform_random_cubic(rng, substitution):
     # closed-form antiderivative as the oracle for the right-hand side
-    m = ladder_asymptotic(10.0, 5e6)
+    m = AsymptoticLadder(10.0, 5e6)
     T, U = 1e6, 100.0
     coef = rng.uniform(-1.0, 1.0, 4)
     f = lambda t: coef[0] + coef[1] * (t - T) + coef[2] * (t - T) ** 2 + coef[3] * (t - T) ** 3
     F = lambda t: (coef[0] * (t - T) + coef[1] * (t - T) ** 2 / 2
                    + coef[2] * (t - T) ** 3 / 3 + coef[3] * (t - T) ** 4 / 4)
-    chk = transform_check(m, f, T, U)
+    q = QuadSpec()
+    lhs, rhs = substitution(m, f, T, U, q)
     truth = F(T + U) - F(T)
-    assert chk.rhs.value == pytest.approx(truth, rel=1e-9)
-    assert chk.residual <= 10.0 * chk.budget(QuadSpec())
+    assert rhs.value == pytest.approx(truth, rel=1e-9)
+    assert abs(lhs.value - rhs.value) <= 10.0 * (lhs.tolerance(q) + rhs.tolerance(q))
 
 
-def test_transform_holds_for_any_ladder_model():
+def test_transform_holds_for_any_ladder_model(substitution):
     # the identity is pure change of variables, model fidelity is irrelevant
-    m = ladder_asymptotic(10.0, 5e6)
-    r = transform_check(m, lambda t: np.sin(t / 50.0), 1e6, 200.0).residual
-    assert r < 1e-6
+    m = AsymptoticLadder(10.0, 5e6)
+    lhs, rhs = substitution(m, lambda t: np.sin(t / 50.0), 1e6, 200.0, QuadSpec())
+    assert abs(lhs.value - rhs.value) < 1e-6
 
 
-def test_transform_u_hypothesis_enforced():
-    m = ladder_asymptotic(10.0, 5e6)
+def test_transform_u_hypothesis_enforced(substitution):
+    m = AsymptoticLadder(10.0, 5e6)
     T = 1e6
     with pytest.raises(ValueError):
-        transform_check(m, np.sin, T, 0.0)
+        substitution(m, np.sin, T, 0.0, QuadSpec())
     with pytest.raises(ValueError):
-        transform_check(m, np.sin, T, 2.0 * T / math.log(T))
+        substitution(m, np.sin, T, 2.0 * T / math.log(T), QuadSpec())
 
 
 def _worklist_reference(f, c, q, cuts):

@@ -8,13 +8,11 @@ import pytest
 
 from zladder import rscore
 from zladder.rscore import (
-    hardy_z,
     hardy_z_many,
     hardy_z_oracle,
     theta,
     theta_deriv,
     theta_oracle,
-    z_tilde_sq,
     z_tilde_sq_many,
     zeta_half_em,
 )
@@ -94,7 +92,7 @@ def test_hardy_z_oracle_vanishes_at_first_zero():
 
 def test_hardy_z_fast_path_rejects_below_t_min():
     with pytest.raises(ValueError):
-        hardy_z(99.0)
+        hardy_z_many(np.array([99.0]))
 
 
 @pytest.mark.parametrize("t", [[math.inf], [math.nan], [1e6, math.inf], [1e6, math.nan]])
@@ -105,14 +103,16 @@ def test_hardy_z_many_rejects_non_finite(t):
 
 def test_hardy_z_matches_oracle_spot_checks():
     # remainder truncation shrinks like t^(-5/4); tolerances follow it
-    for t, tol in ((1e3, 3e-5), (3.7e4, 5e-7), (1e6, 5e-9)):
-        assert hardy_z(t) == pytest.approx(hardy_z_oracle(t), abs=tol)
+    ts = np.array([1e3, 3.7e4, 1e6])
+    for t, z, tol in zip(ts, hardy_z_many(ts), (3e-5, 5e-7, 5e-9)):
+        assert z == pytest.approx(hardy_z_oracle(float(t)), abs=tol)
 
 
 def test_hardy_z_same_sign_as_oracle_at_low_end():
     # consistency at the bottom of the fast range
-    for t in (150.0, 250.0, 1000.0):
-        assert math.copysign(1, hardy_z(t)) == math.copysign(1, hardy_z_oracle(t))
+    ts = np.array([150.0, 250.0, 1000.0])
+    for t, z in zip(ts, hardy_z_many(ts)):
+        assert math.copysign(1, z) == math.copysign(1, hardy_z_oracle(float(t)))
 
 
 def test_hardy_z_correction_terms_improve_accuracy():
@@ -174,23 +174,27 @@ def test_z_tilde_sq_nonnegative():
 
 def test_z_tilde_sq_vanishes_at_zero_of_z():
     # bracket a sign change of Z, bisect it down, check the normalized square
+    def z(t):
+        return hardy_z_many(np.array([t]))[0]
+
     lo, hi = 1e6, 1e6 + 1.0
-    zlo = hardy_z(lo)
-    while hardy_z(hi) * zlo > 0:
+    zlo = z(lo)
+    while z(hi) * zlo > 0:
         lo, hi = hi, hi + 1.0
-        zlo = hardy_z(lo)
+        zlo = z(lo)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if hardy_z(mid) * zlo <= 0:
+        if z(mid) * zlo <= 0:
             hi = mid
         else:
             lo = mid
-    assert z_tilde_sq(0.5 * (lo + hi)) < 1e-18
+    assert z_tilde_sq_many(np.array([0.5 * (lo + hi)]))[0] < 1e-18
 
 
 def test_z_tilde_sq_equals_z_squared_over_log():
-    t = 12345.6
-    assert z_tilde_sq(t) == pytest.approx(hardy_z(t) ** 2 / math.log(t), rel=1e-14)
+    t = np.array([12345.6])
+    assert z_tilde_sq_many(t)[0] == pytest.approx(
+        hardy_z_many(t)[0] ** 2 / math.log(12345.6), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
