@@ -9,6 +9,7 @@ from .gridsets import (
     build_g2,
     grid_range,
     invert_theta,
+    scan_nodes,
     sign_partition,
 )
 from .harness import ExperimentConfig, VerificationReport

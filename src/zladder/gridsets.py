@@ -164,80 +164,66 @@ class SignPartition:
     pos: IntervalCollection
     neg: IntervalCollection
     gap_measure: float
-    warnings: tuple
 
 
-def sign_partition(c: IntervalCollection, f) -> SignPartition:
+def scan_nodes(c: IntervalCollection) -> np.ndarray:
+    """Uniform nodes over each interval of c, endpoints included, spaced at
+    most 2*pi/(8 ln u) apart: an eighth of the zero spacing of Z near u."""
+    lo, hi = c.lows, c.highs
+    step = TWO_PI / (8.0 * np.log(0.5 * (lo + hi)))
+    k = np.maximum(2, np.ceil((hi - lo) / step).astype(int) + 1)
+    owner = np.repeat(np.arange(len(c)), k)
+    j = np.arange(owner.size) - np.repeat(np.cumsum(k) - k, k)
+    return lo[owner] + j * ((hi - lo) / (k - 1))[owner]
+
+
+def sign_partition(c: IntervalCollection, f, nodes) -> SignPartition:
     """Split ``c`` into subsets where f > 0 and f < 0.
 
-    f must accept numpy arrays.  Roots of f are located by a uniform pre-scan
-    with step (local zero gap)/8 = 2*pi/(8 ln t), followed by vectorized
-    bisection; each root is excised inside a gap, and the total gap measure is
-    kept at or below ROOT_TOL * measure(c).  Intervals whose scan resolves no
-    sign at all are reported as suspected root clusters.
+    f must accept numpy arrays.  ``nodes`` are the scan points, close enough
+    that no two roots of f lie between neighbours (see scan_nodes).  f is
+    evaluated once, at the nodes inside c and the endpoints of c.  Each sign
+    flip between neighbours in one interval is bisected into a root gap, and
+    the total gap measure is kept at or below ROOT_TOL * measure(c).  Each
+    part takes the sign of f at the scan point that starts it: the first
+    point of its interval, or the point just after a root gap.
     """
     if len(c) == 0:
         raise ValueError("sign_partition requires a nonempty collection")
-    total = c.measure()
+    lows, highs = c.lows, c.highs
+    nodes = np.asarray(nodes, dtype=float)
+    owner = np.searchsorted(lows, nodes, side="right") - 1
+    inside = (owner >= 0) & (nodes > lows[owner]) & (nodes < highs[owner])
+    xs = np.concatenate([lows, highs, nodes[inside]])
+    owner = np.concatenate([np.arange(len(c)), np.arange(len(c)), owner[inside]])
+    # touching intervals share an endpoint, so order by interval first
+    order = np.lexsort((xs, owner))
+    xs, owner = xs[order], owner[order]
+    pos = np.asarray(f(xs)) > 0
 
-    # scan nodes for all intervals at once
-    nodes, owner = [], []
-    for i, (lo, hi) in enumerate(c.intervals):
-        step = TWO_PI / (8.0 * math.log(0.5 * (lo + hi)))
-        k = max(2, int(math.ceil((hi - lo) / step)) + 1)
-        xs = np.linspace(lo, hi, k)
-        nodes.append(xs)
-        owner.append(np.full(k, i))
-    nodes = np.concatenate(nodes)
-    owner = np.concatenate(owner)
-    vals = np.asarray(f(nodes))
-
-    flips = (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0) & (owner[:-1] == owner[1:])
-    n_roots = int(np.count_nonzero(flips))
+    same = owner[:-1] == owner[1:]
+    flip = same & (pos[:-1] != pos[1:])
+    flips = np.flatnonzero(flip)
     # width budget per root gap
-    gap_w = ROOT_TOL * total / max(1, n_roots)
-
-    a = nodes[:-1][flips].copy()
-    b = nodes[1:][flips].copy()
-    fa = vals[:-1][flips].copy()
+    gap_w = ROOT_TOL * c.measure() / max(1, flips.size)
+    a, b, pos_a = xs[flips], xs[flips + 1], pos[flips]
     while np.any(b - a > gap_w):
         m = 0.5 * (a + b)
-        fm = np.asarray(f(m))
-        left = fa * fm <= 0
+        left = (np.asarray(f(m)) > 0) != pos_a
         b = np.where(left, m, b)
         a = np.where(left, a, m)
-        fa = np.where(left, fa, fm)
 
-    flip_owner = owner[:-1][flips]
-    warnings = []
-    pos_ivs, neg_ivs = [], []
-    gap_measure = 0.0
-    for i, (lo, hi) in enumerate(c.intervals):
-        mask = owner == i
-        xs = nodes[mask]
-        vs = vals[mask]
-        sel = flip_owner == i
-        cuts_lo = a[sel]
-        cuts_hi = b[sel]
-        bounds = [lo] + [v for pair in zip(cuts_lo, cuts_hi) for v in pair] + [hi]
-        gap_measure += float(np.sum(cuts_hi - cuts_lo))
-        for j in range(0, len(bounds) - 1, 2):
-            slo, shi = bounds[j], bounds[j + 1]
-            if shi - slo <= 0:
-                continue
-            inside = (xs > slo) & (xs < shi)
-            if np.any(inside):
-                sgn = float(np.sign(np.median(np.sign(vs[inside]))))
-            else:
-                sgn = float(np.sign(f(np.array([0.5 * (slo + shi)]))[0]))
-            if sgn > 0:
-                pos_ivs.append((slo, shi))
-            elif sgn < 0:
-                neg_ivs.append((slo, shi))
-            else:
-                warnings.append(
-                    f"unresolved sign on ({slo!r}, {shi!r}); suspected root cluster"
-                )
-    return SignPartition(IntervalCollection(tuple(pos_ivs), "pos-part"),
-                         IntervalCollection(tuple(neg_ivs), "neg-part"),
-                         gap_measure, tuple(warnings))
+    # a part runs from the start of its interval or the end of a root gap to
+    # the start of the next root gap or the end of its interval
+    part_lo, part_hi = xs.copy(), xs.copy()
+    part_lo[flips + 1] = b
+    part_hi[flips] = a
+    cut = ~same | flip
+    starts = np.concatenate([[True], cut])
+    ends = np.concatenate([cut, [True]])
+    lo, hi, sgn = part_lo[starts], part_hi[ends], pos[starts]
+    keep = hi > lo
+    return SignPartition(
+        IntervalCollection(tuple(zip(lo[keep & sgn], hi[keep & sgn])), "pos-part"),
+        IntervalCollection(tuple(zip(lo[keep & ~sgn], hi[keep & ~sgn])), "neg-part"),
+        float(np.sum(b - a)))

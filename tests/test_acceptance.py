@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from zladder import harness, ladder as ladder_mod, rscore
-from zladder.gridsets import WindowSpec, build_g1, build_g2, grid_range, sign_partition
+from zladder.gridsets import (WindowSpec, build_g1, build_g2, grid_range, scan_nodes,
+                              sign_partition)
 from zladder.quadrature import QuadSpec
 from zladder.rscore import theta
 
@@ -161,7 +162,7 @@ def test_criterion_8_structural_invariants(default_ctx, rng):
     # sign-partition audit on a moderate sub-window
     wsmall = WindowSpec(w.T, H_override=100.0)
     c = build_g1(wsmall, math.pi / 2)
-    part = sign_partition(c, rscore.hardy_z_many)
+    part = sign_partition(c, rscore.hardy_z_many, scan_nodes(c))
     assert part.gap_measure <= 1e-6 * c.measure()
     for coll, sgn in ((part.pos, 1.0), (part.neg, -1.0)):
         for lo, hi in coll.intervals[:50]:

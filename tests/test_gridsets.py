@@ -13,6 +13,7 @@ from zladder.gridsets import (
     build_g2,
     grid_range,
     invert_theta,
+    scan_nodes,
     sign_partition,
 )
 from zladder.intervals import IntervalCollection
@@ -163,7 +164,7 @@ def test_labels():
 
 def test_sign_partition_constant_sign():
     c = IntervalCollection(((1e4, 1e4 + 5.0),))
-    part = sign_partition(c, lambda t: np.ones_like(t))
+    part = sign_partition(c, lambda t: np.ones_like(t), scan_nodes(c))
     assert part.pos.intervals == c.intervals
     assert len(part.neg) == 0
     assert part.gap_measure == 0.0
@@ -173,7 +174,7 @@ def test_sign_partition_measure_audit():
     w = WindowSpec(1e6, H_override=100.0)
     c = build_g1(w, math.pi / 2)
     f = lambda t: rscore.hardy_z_many(t)
-    part = sign_partition(c, f)
+    part = sign_partition(c, f, scan_nodes(c))
     total = part.pos.measure() + part.neg.measure() + part.gap_measure
     assert total == pytest.approx(c.measure(), abs=1e-9)
     assert part.gap_measure <= 1e-6 * c.measure()
@@ -183,7 +184,7 @@ def test_sign_partition_random_audit(rng):
     w = WindowSpec(1e6, H_override=50.0)
     c = build_g1(w, math.pi / 2)
     f = lambda t: rscore.hardy_z_many(t)
-    part = sign_partition(c, f)
+    part = sign_partition(c, f, scan_nodes(c))
     for coll, sgn in ((part.pos, 1.0), (part.neg, -1.0)):
         for lo, hi in coll.intervals:
             ts = rng.uniform(lo, hi, 40)
@@ -191,5 +192,6 @@ def test_sign_partition_random_audit(rng):
 
 
 def test_sign_partition_validation():
+    empty = IntervalCollection(())
     with pytest.raises(ValueError):
-        sign_partition(IntervalCollection(()), lambda t: t)
+        sign_partition(empty, lambda t: t, scan_nodes(empty))

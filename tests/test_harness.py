@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import zladder
-from zladder import harness, ladder, rscore
+from zladder import gridsets, harness, ladder, rscore
 from zladder.cli import run_cli
 from zladder.harness import (
     EQ_TAGS,
@@ -203,6 +203,42 @@ def test_sign_area_lower_bound_reports_a_shortfall():
     lower = harness.verify_sign_area(ExperimentConfig(**SMALL))[1]
     assert lower.measured < lower.predicted
     assert lower.verdict == "fail"
+
+
+def test_mirrored_sign_partition_labels_every_part_from_few_calls(monkeypatch):
+    # Z(phi_1(t)) turns Z~^2(t) times faster than Z(t), so a scan at Z's zero
+    # spacing in mirrored coordinates misses pairs of sign changes
+    cfg = ExperimentConfig(T=1e6, H_override=100.0)
+    ctx = harness.ExperimentContext(cfg)
+    partition = harness.sign_partition
+    parts, sizes = [], []
+
+    def capturing(c, f, *args):
+        def counted(ts):
+            sizes.append(np.size(ts))
+            return f(ts)
+        parts.append((c, partition(c, counted, *args)))
+        return parts[-1][1]
+
+    monkeypatch.setattr(harness, "sign_partition", capturing)
+    harness.verify_sign_area(cfg, ctx)
+    [(c, part)] = parts
+    # no part holds a point of the other sign, at 16 interior points each
+    frac = (np.arange(16) + 0.5) / 16
+    mislabelled = 0
+    for coll, sgn in ((part.pos, 1.0), (part.neg, -1.0)):
+        ts = coll.lows[:, None] + frac * (coll.highs - coll.lows)[:, None]
+        values = ctx.pushforward_z(ts.ravel()).reshape(ts.shape)
+        mislabelled += np.count_nonzero(np.any(sgn * values <= 0, axis=1))
+    assert mislabelled == 0
+    # one scan call, then one call per bisection round on all roots at once;
+    # a round halves every bracket, which starts inside one interval of c
+    roots = sizes[1]
+    gap_w = gridsets.ROOT_TOL * c.measure() / roots
+    rounds = math.ceil(math.log2(np.max(c.highs - c.lows) / gap_w))
+    assert len(part.pos) + len(part.neg) > 300
+    assert sizes[1:] == [roots] * (len(sizes) - 1)
+    assert len(sizes) <= 1 + rounds
 
 
 def test_ode_ladder_built_only_when_used(monkeypatch, tmp_path):
