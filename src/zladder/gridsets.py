@@ -2,9 +2,10 @@
 
 The grid equation is theta(t_nu(tau)) = pi*nu + tau with tau in [-pi, pi];
 tau = 0 gives the classical Gram points.  theta is smooth and strictly
-increasing on the working range, so every grid point is found by Newton
-iteration started from the Lambert-W inverse of the theta main term, with a
-bisection safeguard for the rare step that leaves its bracket.
+increasing on the working range, so every grid point is found by
+solve_increasing, started from the Lambert-W inverse of the theta main term.
+solve_increasing is the one safeguarded Newton of the package (the ladder
+inverts phi_1 with it too); it stops at the double nearest the root.
 """
 
 from __future__ import annotations
@@ -25,19 +26,12 @@ T_MAX = 1.0e8
 #: here, which admits the classical Gram points starting at t ~ 17.8.
 GRID_T_MIN = 10.0
 
-#: Residual tolerance of the theta solves, relative to the solution t: it sits
-#: above double rounding of theta throughout the validated range.
-THETA_REL_TOL = 1e-10
-
-#: Newton rounds of a theta solve before it is declared unconverged.
-THETA_MAX_ITER = 30
-
 #: Root gaps of the sign partition cover at most this share of its measure.
 ROOT_TOL = 1e-6
 
 
-class SolverError(RuntimeError):
-    """Grid-point solve failed to converge; message carries the bracket."""
+class SolverError(ArithmeticError):
+    """A solve ran out of rounds; the message names the first open bracket."""
 
 
 @dataclass(frozen=True)
@@ -85,36 +79,52 @@ def _theta_initial_guess(target):
     return TWO_PI * np.exp(w + 1.0)
 
 
+def solve_increasing(f, df, y, a, b, t, max_iter: int = 80):
+    """Solve f(t) = y for arrays y, by Newton from t inside the bracket [a, b].
+
+    f must be nondecreasing on each bracket and df its slope; both take
+    arrays and are evaluated only at the points still open.  Each residual
+    shrinks the bracket; a step that leaves it, or a slope at or below 1e-8,
+    bisects instead.  A point is done when its Newton step no longer moves
+    it or its bracket is down to two adjacent doubles, so it ends at the
+    double nearest the root (or next to it, where the slope vanishes).  A
+    point still open after max_iter rounds raises SolverError.
+    """
+    y = np.asarray(y, dtype=float)
+    a, b, t = (np.array(v, dtype=float) for v in (a, b, t))
+    open_ = np.arange(t.size)
+    for _ in range(max_iter):
+        if open_.size == 0:
+            break
+        ta = t[open_]
+        r = np.asarray(f(ta)) - y[open_]
+        above = r > 0
+        lo = a[open_] = np.where(above, a[open_], ta)
+        hi = b[open_] = np.where(above, ta, b[open_])
+        d = np.asarray(df(ta))
+        newton = d > 1e-8
+        nxt = ta - r / np.where(newton, d, 1.0)
+        done = (newton & (nxt == ta)) | (hi <= np.nextafter(lo, np.inf))
+        bisect = ~newton | (nxt <= lo) | (nxt >= hi)
+        t[open_] = np.where(done, ta, np.where(bisect, 0.5 * (lo + hi), nxt))
+        open_ = open_[~done]
+    if open_.size:
+        i = open_[0]
+        raise SolverError(
+            f"{open_.size} of {t.size} solves open after {max_iter} rounds; "
+            f"first: target {y[i]!r}, bracket [{a[i]!r}, {b[i]!r}]")
+    return t
+
+
 def invert_theta(targets):
-    """Vectorized safeguarded Newton solve of theta(t) = target to a residual
-    of THETA_REL_TOL * t."""
+    """Vectorized solve of theta(t) = target, to the nearest double."""
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    theta_min = theta(GRID_T_MIN)
-    if np.any(targets < theta_min):
-        raise ValueError(f"target below theta({GRID_T_MIN:g}) = {theta_min:.6f}")
-    t = np.clip(_theta_initial_guess(targets), GRID_T_MIN, None)
-    lo = np.full_like(t, GRID_T_MIN)
-    hi = np.full_like(t, T_MAX * 1.01)
-    for _ in range(THETA_MAX_ITER):
-        resid = theta(t) - targets
-        done = np.abs(resid) <= THETA_REL_TOL * t
-        if np.all(done):
-            return t
-        # monotonicity keeps the bracket shrinking
-        hi = np.where(resid > 0, np.minimum(hi, t), hi)
-        lo = np.where(resid < 0, np.maximum(lo, t), lo)
-        step = resid / theta_deriv(t)
-        nxt = t - step
-        outside = (nxt <= lo) | (nxt >= hi)
-        nxt = np.where(outside, 0.5 * (lo + hi), nxt)
-        t = np.where(done, t, nxt)
-    resid = theta(t) - targets
-    bad = np.abs(resid) > THETA_REL_TOL * t
-    idx = int(np.argmax(bad))
-    raise SolverError(
-        f"theta solve did not converge for target {targets[idx]!r}; "
-        f"bracket [{lo[idx]!r}, {hi[idx]!r}], residual {resid[idx]!r}"
-    )
+    lo, hi = GRID_T_MIN, 1.01 * T_MAX
+    if not np.all((targets >= theta(lo)) & (targets <= theta(hi))):
+        raise ValueError(f"target outside [theta({lo:g}), theta({hi:g})]")
+    t = np.clip(_theta_initial_guess(targets), lo, hi)
+    return solve_increasing(theta, theta_deriv, targets,
+                            np.full_like(t, lo), np.full_like(t, hi), t)
 
 
 def grid_range(w: WindowSpec) -> list[GramLikePoint]:
@@ -184,7 +194,8 @@ def sign_partition(c: IntervalCollection, f, nodes) -> SignPartition:
     that no two roots of f lie between neighbours (see scan_nodes).  f is
     evaluated once, at the nodes inside c and the endpoints of c.  Each sign
     flip between neighbours in one interval is bisected into a root gap, and
-    the total gap measure is kept at or below ROOT_TOL * measure(c).  Each
+    a gap leaves the bisection once it is within ROOT_TOL * measure(c) /
+    (number of flips), so the gaps cover at most ROOT_TOL * measure(c).  Each
     part takes the sign of f at the scan point that starts it: the first
     point of its interval, or the point just after a root gap.
     """
@@ -207,11 +218,13 @@ def sign_partition(c: IntervalCollection, f, nodes) -> SignPartition:
     # width budget per root gap
     gap_w = ROOT_TOL * c.measure() / max(1, flips.size)
     a, b, pos_a = xs[flips], xs[flips + 1], pos[flips]
-    while np.any(b - a > gap_w):
-        m = 0.5 * (a + b)
-        left = (np.asarray(f(m)) > 0) != pos_a
-        b = np.where(left, m, b)
-        a = np.where(left, a, m)
+    wide = np.flatnonzero(b - a > gap_w)
+    while wide.size:
+        m = 0.5 * (a[wide] + b[wide])
+        left = (np.asarray(f(m)) > 0) != pos_a[wide]
+        b[wide] = np.where(left, m, b[wide])
+        a[wide] = np.where(left, a[wide], m)
+        wide = wide[b[wide] - a[wide] > gap_w]
 
     # a part runs from the start of its interval or the end of a root gap to
     # the start of the next root gap or the end of its interval

@@ -341,11 +341,13 @@ def verify_sign_area(cfg: ExperimentConfig, ctx: ExperimentContext | None = None
     ctx = _context(cfg, ctx)
     q = cfg.quad
     H = ctx.w.H
-    # Z~^2 >= 0, so the integrand has the sign of Z(phi_1(t)), whose zeros
-    # turn Z~^2(t) times faster than those of Z: scan on the direct side,
-    # where the scan step fits the zero spacing, and map the nodes back
+    # Z~^2 > 0 off the zeros of Z, so the integrand has the sign of
+    # Z(phi_1(t)), whose zeros turn Z~^2(t) times faster than those of Z:
+    # scan on the direct side, where the scan step fits the zero spacing, map
+    # the nodes back, and partition on Z(phi_1(t)) alone
     nodes = ctx.ladder.invert(np.concatenate([scan_nodes(ctx.g1), scan_nodes(ctx.g2)]))
-    part = sign_partition(ctx.mirrored_union, ctx.pushforward_z, nodes)
+    part = sign_partition(ctx.mirrored_union,
+                          lambda ts: rscore.hardy_z_many(ctx.ladder.eval(ts)), nodes)
     a_pos = integrate_collection(ctx.pushforward_z, part.pos, q)
     a_neg = integrate_collection(ctx.pushforward_z, part.neg, q)
     if not (a_pos.value > 0 and a_neg.value < 0):

@@ -13,8 +13,9 @@ here it is represented by two surrogates:
   ODEs I, II.6); values and inversion are then answered from that table.
 
 Both models are strictly monotone (the ODE model non-strictly at the isolated
-zeros of Z), immutable after construction, and invertible by safeguarded
-Newton on a shrinking bracket.
+zeros of Z), immutable after construction, and inverted by
+gridsets.solve_increasing, the safeguarded Newton that also solves the grid
+equation, to the double nearest the preimage.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from numpy.polynomial import chebyshev as _cheb
 from scipy.special import expi
 
 from . import rscore
+from .gridsets import solve_increasing
 from .intervals import IntervalCollection
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -56,10 +58,6 @@ _COEF_TO_INTEGRAL = _cheb.chebint(np.eye(PANEL_DEGREE + 1), lbnd=-1, axis=0)
 
 class LadderRangeError(ValueError):
     """Requested point falls outside a ladder model's validated range."""
-
-
-class LadderConvergenceError(ArithmeticError):
-    """Ladder inversion ran out of rounds before every point converged."""
 
 
 def li(t):
@@ -119,56 +117,23 @@ class LadderModel:
             )
         return t
 
-    def invert(self, y, tol: float = 1e-10, max_iter: int = 80):
+    def invert(self, y, max_iter: int = 80):
         """Monotone inversion: return t with eval(t) = y (scalar or array).
 
-        Safeguarded Newton on a shrinking bracket: where the slope is bounded
-        away from zero the iteration converges in a handful of evaluations;
-        near zeros of the slope it degrades to bisection.  Only the
-        still-unconverged subset is evaluated each round.  A point has
-        converged when its bracket is within ``tol`` or down to two adjacent
-        doubles, or when Newton has pinned the residual; a point still open
-        after ``max_iter`` rounds raises LadderConvergenceError.
+        solve_increasing on eval and _slope from the model's initial bracket:
+        each t is the double nearest the preimage, and a point still open
+        after ``max_iter`` rounds raises gridsets.SolverError.
         """
         y_arr = np.atleast_1d(np.asarray(y, dtype=float))
         flo = float(np.asarray(self.eval(np.array([self.lo])))[0])
         fhi = float(np.asarray(self.eval(np.array([self.hi])))[0])
-        if np.any(y_arr < flo - 1e-9) or np.any(y_arr > fhi + 1e-9):
+        if not np.all((y_arr >= flo - 1e-9) & (y_arr <= fhi + 1e-9)):
             raise LadderRangeError(
                 f"value outside model image [{flo!r}, {fhi!r}]"
             )
         a, b = self._initial_bracket(y_arr)
-        t = 0.5 * (a + b)
-        # eval carries rounding jitter ~eps*|y|, so the residual target cannot
-        # sit below that floor
-        ftol = np.maximum(0.01 * tol, 8.0 * np.finfo(float).eps * np.abs(y_arr))
-        active = np.arange(len(y_arr))
-        for _ in range(max_iter):
-            ta = t[active]
-            ft = np.asarray(self.eval(ta)) - y_arr[active]
-            above = ft > 0
-            b[active] = np.where(above, ta, b[active])
-            a[active] = np.where(above, a[active], ta)
-            d = np.asarray(self._slope(ta))
-            width = b[active] - a[active]
-            # converged when the bracket is tight (at large t, adjacent doubles
-            # can be further apart than tol), or Newton has pinned the residual
-            # and the local slope bounds the remaining t error
-            done = (width <= tol) | (b[active] <= np.nextafter(a[active], np.inf)) | (
-                (d > 1e-8) & (np.abs(ft) <= np.maximum(0.01 * tol * d, ftol[active])))
-            step = np.where(d > 1e-8, ft / np.where(d > 1e-8, d, 1.0), 0.0)
-            nxt = ta - step
-            mid = 0.5 * (a[active] + b[active])
-            bad = (d <= 1e-8) | (nxt <= a[active]) | (nxt >= b[active])
-            t[active] = np.where(done, ta, np.where(bad, mid, nxt))
-            active = active[~done]
-            if active.size == 0:
-                break
-        else:
-            raise LadderConvergenceError(
-                f"{active.size} of {len(y_arr)} points unconverged after "
-                f"{max_iter} rounds"
-            )
+        t = solve_increasing(self.eval, self._slope, y_arr, a, b, 0.5 * (a + b),
+                             max_iter)
         return t if np.asarray(y).ndim else float(t[0])
 
     def _slope(self, t):

@@ -8,6 +8,7 @@ import pytest
 from zladder import rscore
 from zladder.gridsets import (
     GRID_T_MIN,
+    T_MAX,
     WindowSpec,
     build_g1,
     build_g2,
@@ -59,6 +60,21 @@ def test_monotone_in_theta_target():
 def test_target_below_theta_floor_rejected():
     with pytest.raises(ValueError):
         invert_theta(np.array([theta(GRID_T_MIN) - 1.0]))
+
+
+def test_invert_theta_stops_at_the_nearest_double():
+    # grid points and the G-set ends pi*nu +- pi/2 near T = 1e6
+    nu0 = math.ceil(theta(1e6) / math.pi)
+    ys = math.pi * (nu0 + np.arange(400)) + np.resize([0.0, math.pi / 2, -math.pi / 2], 400)
+    ts = invert_theta(ys)
+    bound = theta_deriv(ts) * np.spacing(ts) + 2.0 * np.spacing(ys)
+    assert np.all(np.abs(theta(ts) - ys) <= bound)
+
+
+def test_target_above_range_or_not_finite_rejected():
+    for y in (theta(1.01 * T_MAX) + 1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            invert_theta(np.array([y]))
 
 
 def test_invert_theta_vectorized():

@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zladder import rscore
-from zladder.gridsets import WindowSpec, build_g1
+from zladder.gridsets import SolverError, WindowSpec, build_g1
 from zladder.intervals import IntervalCollection
 from zladder.ladder import (
     EULER_GAMMA,
     PANEL_DEGREE,
     PANEL_WIDTH,
     AsymptoticLadder,
-    LadderConvergenceError,
     LadderModel,
     LadderRangeError,
     OdeLadder,
@@ -103,8 +102,9 @@ def test_range_enforced():
     m = AsymptoticLadder(100.0, 1000.0)
     with pytest.raises(LadderRangeError):
         m.eval(50.0)
-    with pytest.raises(LadderRangeError):
-        m.invert(m.eval(100.0) - 10.0)
+    for y in (m.eval(100.0) - 10.0, math.nan):
+        with pytest.raises(LadderRangeError):
+            m.invert(y)
     with pytest.raises(ValueError):
         AsymptoticLadder(5.0, 100.0)
 
@@ -169,15 +169,18 @@ def test_inverse_consistency(ode_small):
     assert m.invert(m.eval(t0)) == pytest.approx(t0, abs=1e-6)
 
 
-def _assert_round_trip(m, t, tol=1e-10):
-    """invert(eval(t)) is t within invert's contract: a bracket within tol or
-    down to adjacent doubles, or a residual within the Newton target."""
+def _nearest_double_bound(m, t, y):
+    """Largest |eval(t) - y| at the double t nearest the preimage of y, or
+    next to it: a step of one ulp(t) at the slope, plus the rounding of y."""
+    slope = np.asarray(m._slope(np.atleast_1d(t)))
+    return slope * np.spacing(t) + 2.0 * np.spacing(np.abs(y))
+
+
+def _assert_round_trip(m, t):
+    """invert(eval(t)) stops at a double nearest the preimage of eval(t)."""
     y = m.eval(t)
-    back = m.invert(y, tol=tol)
-    slope = float(np.asarray(m._slope(np.array([back])))[0])
-    target = max(0.01 * tol * slope, 8.0 * np.finfo(float).eps * abs(y))
-    assert (abs(back - t) <= max(tol, 2.0 * np.spacing(t))
-            or abs(m.eval(back) - y) <= target), (t, back)
+    back = m.invert(y)
+    assert abs(m.eval(back) - y) <= _nearest_double_bound(m, back, y)[0], (t, back)
 
 
 @settings(max_examples=40, deadline=None)
@@ -224,11 +227,19 @@ def test_ode_panel_table_matches_kernel(T):
     assert gap.max() <= 2.0 * np.spacing(top) * max_fprime + tail
 
 
+@pytest.mark.parametrize("T", [1e6, 9.9e7])
+def test_ode_invert_stops_at_the_nearest_double(T):
+    m = ladder_ode(T, 60.0, AsymptoticLadder(10.0, 2e8))
+    ys = np.linspace(m.eval(m.lo), m.eval(m.hi), 2002)[1:-1]
+    ts = m.invert(ys)
+    assert np.all(np.abs(m.eval(ts) - ys) <= _nearest_double_bound(m, ts, ys))
+
+
 def test_invert_raises_when_rounds_run_out():
     m = AsymptoticLadder(10.0, 2e6)
-    with pytest.raises(LadderConvergenceError):
+    with pytest.raises(SolverError):
         m.invert(1e6 + 123.456, max_iter=2)
-    assert issubclass(LadderConvergenceError, ArithmeticError)
+    assert issubclass(SolverError, ArithmeticError)
 
 
 # ---------------------------------------------------------------------------
