@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness, ladder as ladder_mod, rscore
+from . import harness, ladder as ladder_mod
 from .gridsets import build_g1, build_g2, grid_range
 from .harness import ExperimentContext
 from .quadrature import integrate_collection
@@ -93,8 +93,7 @@ def _cmd_integrate(args, cfg) -> int:
     t0 = time.time()
     ctx = ExperimentContext(cfg)
     coll = ctx.g1 if args.set == "g1" else ctx.g2
-    out = integrate_collection(rscore.hardy_z_many, coll, cfg.quad,
-                               initial_cuts=ctx.grid_cuts)
+    out = integrate_collection(ctx.z_table, coll, cfg.quad)
     sgn = 1.0 if args.set == "g1" else -1.0
     amp = math.sin(cfg.x if args.set == "g1" else cfg.y)
     pred = sgn * 2.0 / math.pi * ctx.w.H * amp

@@ -1,6 +1,10 @@
 """Experiment runner: assembles grid, ladder, and quadrature into the
 verification program and emits machine-readable reports.
 
+The integrands read Chebyshev panel tables only: Z over the window from the
+context's Z table, and the mirrored integrand from that table and the ODE
+ladder's own tables, so the Z kernel runs only in the table builds.
+
 Every report row pairs a measured integral with its predicted value, one
 equation tag from a closed vocabulary, and a verdict.  Structural identities
 (the change-of-variables residuals, coverage) are hard pass/fail at quadrature
@@ -152,9 +156,10 @@ def mean_value_budget(cfg: ExperimentConfig) -> float:
 class ExperimentContext:
     """Grid sets and integrands shared by the experiments.
 
-    The context owns everything derived from them: the ODE ladder, each
-    mirrored collection, each mirrored integral and the clipped mirrored union
-    are computed on first use and then reused by every experiment.
+    The context owns everything derived from them: the Z table, the ODE
+    ladder, each mirrored collection, each mirrored integral and the clipped
+    mirrored union are computed on first use and then reused by every
+    experiment.  grid_cuts holds the grid points of the window.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -165,6 +170,17 @@ class ExperimentContext:
         self.grid_cuts = np.array([g.t for g in grid_range(self.w)])
         self._mirrors: dict = {}
         self._mirrored_integrals: dict = {}
+
+    @functools.cached_property
+    def z_table(self) -> ladder_mod.PanelTable:
+        """Z over [T - pi/theta'(T), T + H + pi/theta'(T)], sampled once.
+
+        The margin of one grid spacing holds G1 and G2 at any x, y <= pi/2,
+        and so every scan_shape set; the table raises outside it.
+        """
+        pad = math.pi / rscore.theta_deriv(self.w.T)
+        cuts, nodes = ladder_mod.panel_nodes(self.w.T - pad, self.w.T + self.w.H + pad)
+        return ladder_mod.PanelTable(cuts, rscore.hardy_z_many(nodes))
 
     @functools.cached_property
     def ladder(self) -> ladder_mod.OdeLadder:
@@ -179,7 +195,7 @@ class ExperimentContext:
         span = (hi_hull + margin - lo_hull + 2 * margin) / 0.85
         for _ in range(6):
             ode = ladder_mod.ladder_ode(anchor_t, span, asym)
-            if ode.eval(ode.hi) >= hi_hull + margin:
+            if ode.image[1] >= hi_hull + margin:
                 return ode
             span *= 1.3
         raise RuntimeError("ODE ladder failed to cover the mirrored window")
@@ -206,9 +222,15 @@ class ExperimentContext:
             self.mirrored(self.g2), clip_tol=1e-8 * self.w.T)
 
     def pushforward_z(self, ts):
-        """Z(phi_1(t)) * Z~^2(t), the mirrored-side integrand."""
+        """Z(phi_1(t)) * Z~^2(t), the mirrored-side integrand, from the tables.
+
+        Z~^2(t) is taken as Z(t)^2 / ln t from the ladder's Z interpolant, not
+        from its Z~^2 interpolant: near a zero of Z the latter's absolute
+        error does not vanish, while the square of the former's does.
+        """
         m = self.ladder
-        return rscore.hardy_z_many(np.asarray(m.eval(ts))) * np.asarray(m.deriv(ts))
+        ts = np.asarray(ts, dtype=float)
+        return self.z_table(m.eval(ts)) * m.z(ts) ** 2 / np.log(ts)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +267,7 @@ def verify_theorem(cfg: ExperimentConfig, ctx: ExperimentContext | None = None) 
         ("g2", ctx.g2, -1.0, math.sin(cfg.y)),
     ):
         pred = sgn * 2.0 / math.pi * H * amp
-        out = integrate_collection(rscore.hardy_z_many, coll, q,
-                                   initial_cuts=ctx.grid_cuts)
+        out = integrate_collection(ctx.z_table, coll, q)
         mout = ctx.mirrored_integral(coll)
         for kind, o, eq in (("direct", out, "4.5"), ("mirrored", mout, "1.5")):
             meta = _quad_meta(o)
@@ -347,7 +368,7 @@ def verify_sign_area(cfg: ExperimentConfig, ctx: ExperimentContext | None = None
     # the nodes back, and partition on Z(phi_1(t)) alone
     nodes = ctx.ladder.invert(np.concatenate([scan_nodes(ctx.g1), scan_nodes(ctx.g2)]))
     part = sign_partition(ctx.mirrored_union,
-                          lambda ts: rscore.hardy_z_many(ctx.ladder.eval(ts)), nodes)
+                          lambda ts: ctx.z_table(ctx.ladder.eval(ts)), nodes)
     a_pos = integrate_collection(ctx.pushforward_z, part.pos, q)
     a_neg = integrate_collection(ctx.pushforward_z, part.neg, q)
     if not (a_pos.value > 0 and a_neg.value < 0):
@@ -390,8 +411,7 @@ def scan_shape(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
     converged = True
     for x in SHAPE_X_GRID:
         coll = build_g1(ctx.w, x)
-        out = integrate_collection(rscore.hardy_z_many, coll, cfg.quad,
-                                   initial_cuts=ctx.grid_cuts)
+        out = integrate_collection(ctx.z_table, coll, cfg.quad)
         converged = converged and out.converged
         rows.append((x, out.value, 2.0 / math.pi * H * math.sin(x)))
     sines = np.array([math.sin(x) for x, _, _ in rows])

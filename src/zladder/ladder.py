@@ -8,9 +8,14 @@ here it is represented by two surrogates:
 * an ODE model whose derivative is exactly Z~^2(t) and whose value is the
   running integral of Z~^2 from an anchor supplied by the asymptotic model.
   This is the model under which the Z~^2 change of variables is an identity.
-  Z~^2 is sampled once, when the model is built, into a table of Chebyshev
-  panels (dense output in the sense of Hairer, Norsett and Wanner, Solving
-  ODEs I, II.6); values and inversion are then answered from that table.
+  Z is sampled once, when the model is built, and fitted into two tables of
+  Chebyshev panels, Z and Z~^2; values, inversion and the Z of the mirrored
+  integrand are then answered from those tables.
+
+A PanelTable is the one interpolant of the package: Chebyshev panels fitted
+from samples at longdouble nodes (dense output in the sense of Hairer, Norsett
+and Wanner, Solving ODEs I, II.6).  The harness tables Z over the window with
+it, so that no integrand calls the Z kernel.
 
 Both models are strictly monotone (the ODE model non-strictly at the isolated
 zeros of Z), immutable after construction, and inverted by
@@ -20,6 +25,7 @@ equation, to the double nearest the preimage.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -33,15 +39,15 @@ from .intervals import IntervalCollection
 
 EULER_GAMMA = float(np.euler_gamma)
 
-# Chebyshev panels of the ODE ladder.  Z~^2 = Z^2 / ln t is a sum of
-# oscillations of frequency at most 2 ln N rad per unit, N = floor(sqrt(t/2pi)):
-# each Riemann-Siegel term of Z turns at theta'(t) - ln n, in [0, ln N].  At
-# T_MAX = 1e8 (ln N = 8.3) that is 16.6 rad per unit, so on a panel of width
-# 0.25 a term sweeps at most w = 2.1 rad over the half-width x in [-1, 1].  The
-# Chebyshev coefficients of cos(w x + c) decay like 2 (w/2)^k / k!, which at
-# degree 14 leaves a dropped tail near 1e-12 of the spectral amplitude.  The
-# 15 Chebyshev-Lobatto samples per panel share endpoints with the neighbours,
-# so the table costs 14 Z points per panel, 56 per unit.
+# Chebyshev panels.  Z is a sum of Riemann-Siegel terms, each turning at
+# theta'(t) - ln n in [0, ln N] rad per unit, N = floor(sqrt(t/2pi)), and
+# Z~^2 = Z^2 / ln t turns at most twice as fast.  At T_MAX = 1e8 (ln N = 8.3)
+# that is 16.6 rad per unit, so on a panel of width 0.25 a term of Z~^2 sweeps
+# at most w = 2.1 rad over the half-width x in [-1, 1].  The Chebyshev
+# coefficients of cos(w x + c) decay like 2 (w/2)^k / k!, which at degree 14
+# leaves a dropped tail near 1e-12 of the spectral amplitude.  The 15
+# Chebyshev-Lobatto samples per panel share endpoints with the neighbours, so
+# a table costs 14 Z points per panel, 56 per unit.
 PANEL_WIDTH = 0.25
 PANEL_DEGREE = 14
 
@@ -54,6 +60,69 @@ _SAMPLES_TO_COEF = (2.0 / PANEL_DEGREE) * _halve[:, None] \
     * np.cos(np.pi * np.outer(_k, _k[::-1]) / PANEL_DEGREE) * _halve[None, :]
 #: Chebyshev coefficients -> coefficients of the antiderivative vanishing at -1.
 _COEF_TO_INTEGRAL = _cheb.chebint(np.eye(PANEL_DEGREE + 1), lbnd=-1, axis=0)
+
+
+def panel_nodes(lo: float, hi: float):
+    """Panel edges over [lo, hi], at most PANEL_WIDTH apart, and the
+    Chebyshev-Lobatto sample points of every panel in ascending order.
+
+    The points are longdouble: rounded to double, a point near t would sit up
+    to ulp(t)/2 off its node and put ulp(t) |f'| of noise into every
+    coefficient.  Panel i's points are nodes[n i : n (i + 1) + 1] with n =
+    PANEL_DEGREE; neighbours share the edge between them, which is exact.
+    """
+    cuts = np.linspace(lo, hi, int(math.ceil((hi - lo) / PANEL_WIDTH)) + 1)
+    # b - a is exact for neighbouring edges (Sterbenz), so edge + 2 hw is the
+    # next edge exactly; edge + hw (1 + x) is x's node, rounded only in its
+    # last longdouble bit, and PanelTable maps t back by x = (t - edge)/hw - 1
+    hw = 0.5 * np.diff(cuts)
+    inner = cuts[:-1, None].astype(np.longdouble) + hw[:, None] * (1.0 + _LOBATTO[:-1])
+    return cuts, np.append(inner.ravel(), np.longdouble(cuts[-1]))
+
+
+class PanelTable:
+    """Chebyshev interpolant of a function on the panels of panel_nodes,
+    fitted from its samples at those nodes (dense output in the sense of
+    Hairer, Norsett and Wanner, Solving ODEs I, II.6).
+
+    Calling the table evaluates the interpolant at an array of t, by one
+    Clenshaw pass that gathers a single coefficient row at a time.  A t
+    outside [cuts[0], cuts[-1]], or NaN, raises ValueError: the table never
+    extrapolates or clips.
+    """
+
+    def __init__(self, cuts, samples):
+        self.cuts = np.asarray(cuts, dtype=float)
+        self.hw = 0.5 * np.diff(self.cuts)
+        vals = sliding_window_view(np.asarray(samples, dtype=float),
+                                   PANEL_DEGREE + 1)[::PANEL_DEGREE]
+        if vals.shape[0] != self.hw.size:
+            raise ValueError("samples do not match the panels of cuts")
+        # rows are coefficient orders, columns panels
+        self.coef = _SAMPLES_TO_COEF @ vals.T
+
+    def locate(self, t):
+        """Panel index and local coordinate x in [-1, 1] of each t."""
+        t = np.asarray(t, dtype=float)
+        lo, hi = self.cuts[0], self.cuts[-1]
+        if not np.all((t >= lo) & (t <= hi)):
+            raise ValueError(
+                f"t outside the table's domain [{float(lo)!r}, {float(hi)!r}], or NaN")
+        idx = np.minimum(np.searchsorted(self.cuts, t, side="right") - 1,
+                         self.hw.size - 1)
+        return idx, (t - self.cuts[idx]) / self.hw[idx] - 1.0
+
+    def __call__(self, t):
+        idx, x = self.locate(t)
+        return _clenshaw(self.coef, idx, x)
+
+
+def _clenshaw(coef, idx, x):
+    """sum_k coef[k, idx] T_k(x), gathering one row of coef at a time."""
+    b1 = b2 = np.zeros_like(x)
+    for k in range(coef.shape[0] - 1, 0, -1):
+        b1, b2 = coef[k][idx] + 2.0 * x * b1 - b2, b1
+    return coef[0][idx] + x * b1 - b2
 
 
 class LadderRangeError(ValueError):
@@ -117,6 +186,12 @@ class LadderModel:
             )
         return t
 
+    @functools.cached_property
+    def image(self) -> tuple[float, float]:
+        """(eval(lo), eval(hi)), computed once: the model is immutable."""
+        ends = np.asarray(self.eval(np.array([self.lo, self.hi])), dtype=float)
+        return float(ends[0]), float(ends[1])
+
     def invert(self, y, max_iter: int = 80):
         """Monotone inversion: return t with eval(t) = y (scalar or array).
 
@@ -125,8 +200,7 @@ class LadderModel:
         after ``max_iter`` rounds raises gridsets.SolverError.
         """
         y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-        flo = float(np.asarray(self.eval(np.array([self.lo])))[0])
-        fhi = float(np.asarray(self.eval(np.array([self.hi])))[0])
+        flo, fhi = self.image
         if not np.all((y_arr >= flo - 1e-9) & (y_arr <= fhi + 1e-9)):
             raise LadderRangeError(
                 f"value outside model image [{flo!r}, {fhi!r}]"
@@ -173,12 +247,13 @@ class OdeLadder(LadderModel):
     """Model with deriv(t) = Z~^2(t) exactly and eval(t) = anchor value plus
     the integral of Z~^2 from the anchor.
 
-    The build samples Z~^2 once on a table of Chebyshev panels (PANEL_WIDTH
-    wide, degree PANEL_DEGREE) and stores each panel's interpolant.  Panel
-    integrals come from the same coefficients (Clenshaw-Curtis) and are
-    accumulated in extended precision into checkpoint values; eval adds the
-    closed-form integral of the interpolant from the panel start.  eval and
-    the inversion slope make no Z evaluation; deriv evaluates Z~^2 itself.
+    The build samples Z once at the nodes of panel_nodes and fits two
+    PanelTables on them: Z itself (z) and Z~^2 = Z^2 / ln t.  Panel integrals
+    of the Z~^2 interpolant come from its coefficients (Clenshaw-Curtis) and
+    are accumulated in extended precision into checkpoint values; eval adds
+    the closed-form integral of the interpolant from the panel start.  eval,
+    z and the inversion slope make no Z evaluation; deriv evaluates Z~^2
+    itself.
     """
 
     kind = "ode"
@@ -191,38 +266,28 @@ class OdeLadder(LadderModel):
         self.lo = float(anchor_t)
         self.hi = float(anchor_t + span)
         self.anchor = (float(anchor_t), float(anchor_value))
-        n = int(math.ceil(span / PANEL_WIDTH))
-        self._cp_t = np.linspace(self.lo, self.hi, n + 1)
-        self._mid = 0.5 * (self._cp_t[:-1] + self._cp_t[1:])
-        self._hw = 0.5 * np.diff(self._cp_t)
-        # with n = PANEL_DEGREE, panel i's samples are nodes[n i : n (i + 1) + 1]:
-        # neighbours share the checkpoint between them
-        nodes = np.append(
-            (self._mid[:, None] + self._hw[:, None] * _LOBATTO[:-1]).ravel(), self.hi)
-        nodes[::PANEL_DEGREE] = self._cp_t
-        vals = sliding_window_view(rscore.z_tilde_sq_many(nodes),
-                                   PANEL_DEGREE + 1)[::PANEL_DEGREE]
-        # rows are coefficient orders, columns panels
-        self._coef = _SAMPLES_TO_COEF @ vals.T
-        self._integral = _COEF_TO_INTEGRAL @ self._coef
-        panel = self._integral.sum(axis=0) * self._hw  # antiderivative at x = 1
+        cuts, nodes = panel_nodes(self.lo, self.hi)
+        z = rscore.hardy_z_many(nodes)
+        self._z = PanelTable(cuts, z)
+        self._zsq = PanelTable(cuts, z * z / np.log(nodes.astype(float)))
+        self._integral = _COEF_TO_INTEGRAL @ self._zsq.coef
+        panel = self._integral.sum(axis=0) * self._zsq.hw  # antiderivative at x = 1
         cum = np.cumsum(panel.astype(np.longdouble))
         self._cp_phi = float(anchor_value) + np.concatenate(
             [[0.0], cum.astype(float)]
         )
 
-    def _locate(self, t):
-        """Panel index and local coordinate x in [-1, 1] of each t."""
-        t = np.clip(self._check_range(t), self.lo, self.hi)
-        idx = np.clip(np.searchsorted(self._cp_t, t, side="right") - 1, 0,
-                      len(self._cp_t) - 2)
-        return idx, (t - self._mid[idx]) / self._hw[idx]
+    @property
+    def image(self) -> tuple[float, float]:
+        return float(self._cp_phi[0]), float(self._cp_phi[-1])
+
+    def _clip(self, t):
+        return np.clip(self._check_range(t), self.lo, self.hi)
 
     def eval(self, t):
         scalar = np.asarray(t).ndim == 0
-        idx, x = self._locate(t)
-        out = self._cp_phi[idx] + self._hw[idx] * _cheb.chebval(
-            x, self._integral[:, idx], tensor=False)
+        idx, x = self._zsq.locate(self._clip(t))
+        out = self._cp_phi[idx] + self._zsq.hw[idx] * _clenshaw(self._integral, idx, x)
         return float(out[0]) if scalar else out
 
     def deriv(self, t):
@@ -231,16 +296,19 @@ class OdeLadder(LadderModel):
         out = rscore.z_tilde_sq_many(t)
         return float(out[0]) if scalar else out
 
+    def z(self, t):
+        """Z at an array of t from the interpolant of the build's samples."""
+        return self._z(self._clip(t))
+
     def _slope(self, t):
         # the interpolant of Z~^2, which is exactly d eval / dt
-        idx, x = self._locate(t)
-        return _cheb.chebval(x, self._coef[:, idx], tensor=False)
+        return self._zsq(self._clip(t))
 
     def _initial_bracket(self, y_arr):
         # checkpoints are monotone nondecreasing, so they bracket the preimage
-        idx = np.clip(np.searchsorted(self._cp_phi, y_arr) - 1, 0,
-                      len(self._cp_t) - 2)
-        return self._cp_t[idx].copy(), self._cp_t[idx + 1].copy()
+        cuts = self._zsq.cuts
+        idx = np.clip(np.searchsorted(self._cp_phi, y_arr) - 1, 0, len(cuts) - 2)
+        return cuts[idx].copy(), cuts[idx + 1].copy()
 
 
 def ladder_ode(anchor_t: float, span: float, seed_model: LadderModel) -> OdeLadder:

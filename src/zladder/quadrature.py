@@ -6,7 +6,8 @@ generation of panels evaluated in one vectorized call.  The reduction over
 panels is done in a fixed left-to-right order with math.fsum, so outcomes are
 bit-identical for identical inputs regardless of how the work is batched.
 
-Integrands must accept and return 1-D numpy arrays.
+Each interval of a collection starts as one panel.  Integrands must accept
+and return 1-D numpy arrays.
 """
 
 from __future__ import annotations
@@ -160,25 +161,13 @@ def _integrate_panels(f, lo, hi, total_width, q: QuadSpec) -> QuadratureOutcome:
                              subdivisions, converged)
 
 
-def integrate_collection(f, c: IntervalCollection, q: QuadSpec = QuadSpec(),
-                         initial_cuts=None) -> QuadratureOutcome:
+def integrate_collection(f, c: IntervalCollection,
+                         q: QuadSpec = QuadSpec()) -> QuadratureOutcome:
     """Integrate f over every interval of the collection and sum the outcomes.
 
     The whole collection is treated as one adaptive job so the per-panel
-    budget is shared by measure.  ``initial_cuts`` (optional) pre-splits the
-    intervals, e.g. at grid ordinates so each starting panel sees at most one
-    sign change of Z.
+    budget is shared by measure.
     """
     if len(c) == 0:
         raise ValueError("integrate_collection requires a nonempty collection")
-    lo, hi = c.lows, c.highs
-    if initial_cuts is not None:
-        cuts = np.unique(np.asarray(initial_cuts, dtype=float))
-        k = np.searchsorted(lo, cuts, side="right") - 1
-        inside = (k >= 0) & (cuts > lo[k]) & (cuts < hi[k])
-        # the intervals are disjoint and sorted, so starting panel i runs
-        # from the i-th of (lows + inner cuts) to the i-th of (inner cuts + highs)
-        lo = np.sort(np.concatenate([lo, cuts[inside]]))
-        hi = np.sort(np.concatenate([cuts[inside], hi]))
-    return _integrate_panels(f, lo, hi, c.measure(), q)
-
+    return _integrate_panels(f, c.lows, c.highs, c.measure(), q)

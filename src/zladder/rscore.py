@@ -4,7 +4,9 @@ and the normalized square Z~^2(t) = Z(t)^2 / ln t.
 Two evaluation grades live here:
 
 * a fast double-precision path (asymptotic theta series + Riemann-Siegel main
-  sum with remainder terms C0, C1), vectorized over numpy arrays;
+  sum with remainder terms C0, C1), vectorized over numpy arrays, which takes
+  longdouble t where a sample point must be finer than a double (the panel
+  tables of the ladder module);
 * a slow arbitrary-precision oracle built on mpmath (exact theta from
   log-Gamma, zeta from mpmath's independent machinery), used by tests and
   wherever the fast path is outside its validated range.
@@ -179,11 +181,14 @@ def hardy_z_many(t, *, correction_terms: int = RS_MAX_CORRECTION_TERMS):
 
     Evaluates the Riemann-Siegel main sum 2 * sum_{n <= N} cos(theta - t ln n)/sqrt(n)
     with N = floor(sqrt(t/2pi)), plus ``correction_terms`` (0 to
-    RS_MAX_CORRECTION_TERMS) remainder terms.  Raises ValueError on non-finite t.
+    RS_MAX_CORRECTION_TERMS) remainder terms.  A longdouble t is kept for the
+    phases, so Z is evaluated at that t and not at its double rounding.
+    Raises ValueError on non-finite t.
     """
     if not 0 <= correction_terms <= RS_MAX_CORRECTION_TERMS:
         raise ValueError(f"correction_terms must be in [0, {RS_MAX_CORRECTION_TERMS}]")
-    t = np.asarray(t, dtype=float)
+    t_ld = np.asarray(t, dtype=np.longdouble)
+    t = t_ld.astype(float)
     if t.size == 0:
         return np.empty(0)
     if not np.all(np.isfinite(t)):
@@ -193,7 +198,6 @@ def hardy_z_many(t, *, correction_terms: int = RS_MAX_CORRECTION_TERMS):
     a = np.sqrt(t / TWO_PI)
     N = np.floor(a).astype(np.int64)
     p = a - N
-    t_ld = t.astype(np.longdouble)
     th_ld = _theta_ld(t_ld)
     n_max = int(N.max())
     n = np.arange(1, n_max + 1, dtype=float)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zladder import rscore
+from zladder import harness, rscore
 from zladder.gridsets import SolverError, WindowSpec, build_g1
 from zladder.intervals import IntervalCollection
 from zladder.ladder import (
@@ -18,9 +18,11 @@ from zladder.ladder import (
     LadderModel,
     LadderRangeError,
     OdeLadder,
+    PanelTable,
     ladder_ode,
     li,
     mirror_collection,
+    panel_nodes,
     prime_pi,
     save_ladder_csv,
     separation_rho,
@@ -201,30 +203,85 @@ def test_invert_round_trip_ode(ode_tiny, u):
     _assert_round_trip(m, min(m.hi, m.lo + u * (m.hi - m.lo)))
 
 
+def _table_bound(top, amplitude, band, max_fprime, noise):
+    """Largest |table - kernel| on panels below ``top`` for a function of l1
+    spectral amplitude ``amplitude`` and frequencies at most ``band`` rad per
+    unit, sampled by a kernel whose values are each off by at most ``noise``:
+    * the table interpolates the samples through the 15 Chebyshev-Lobatto
+      nodes, whose Lebesgue constant is below 2.7.  Each sample is off by its
+      noise and by its node's rounding to longdouble, at most ulp_ld(t)/2
+      times max|f'|; the kernel value it is compared with is off by noise;
+    * Chebyshev truncation: a term sweeps at most w = band * PANEL_WIDTH / 2
+      rad over a half-panel, so the interpolation error is below
+      4 A sum_{k > degree} (w/2)^k / k!.
+    """
+    w = band * PANEL_WIDTH / 2
+    tail = 4.0 * amplitude * sum((w / 2) ** k / math.factorial(k)
+                                 for k in range(PANEL_DEGREE + 1, PANEL_DEGREE + 30))
+    ulp = float(np.spacing(np.longdouble(top)))
+    return 2.7 * (0.5 * ulp * max_fprime + noise) + noise + tail
+
+
+def _table_bounds(lo, top):
+    """The _table_bound of the Z table and of the Z~^2 table on [lo, top].
+
+    Z is a sum of N cosines 2 cos(phase)/sqrt(n), of l1 amplitude
+    A = 2 sum n^(-1/2), each turning at most ln N rad per unit, and each
+    phase carries a few longdouble ulps of t ln N of rounding.  Z~^2 = Z^2 /
+    ln t has amplitude at most A^2 / ln t, twice the band, and 2 max|Z| / ln t
+    times Z's noise.
+    """
+    N = math.floor(math.sqrt(top / (2 * math.pi)))
+    A = 2.0 * np.sum(np.arange(1, N + 1) ** -0.5)
+    noise = 4.0 * float(np.spacing(np.longdouble(top * math.log(N)))) * A
+    fine = np.arange(lo, top, 1e-3)
+    z = rscore.hardy_z_many(fine)
+    max_dz = np.abs(np.gradient(z, 1e-3)).max()
+    max_dzsq = np.abs(np.gradient(z * z / np.log(fine), 1e-3)).max()
+    return (_table_bound(top, A, math.log(N), max_dz, noise),
+            _table_bound(top, A * A / math.log(lo), 2 * math.log(N), max_dzsq,
+                         2.0 * np.abs(z).max() * noise / math.log(lo)))
+
+
 @pytest.mark.parametrize("T", [1.03e6, 1e7, 9.9e7])
 def test_ode_panel_table_matches_kernel(T):
-    # The table interpolates Z~^2 sampled at the rounded nodes mid + hw * x_j,
-    # so its gap to the kernel is bounded by two terms:
-    # * node rounding, at most ulp(t)/2 per sample, times max|dZ~^2/dt|, times
-    #   the Lebesgue constant of the 15 Chebyshev-Lobatto nodes (below 2.7):
-    #   at most 2 ulp(t) max|dZ~^2/dt|;
-    # * Chebyshev truncation: Z~^2 is a sum of cosines with l1 amplitude at most
-    #   A = (2 sum_{n<=N} n^(-1/2))^2 / ln t and frequency at most 2 ln N, so
-    #   at most w = ln N * PANEL_WIDTH rad over a half-panel; the interpolation
-    #   error is then below 4 A sum_{k > degree} (w/2)^k / k!.
+    # the ladder's two tables: Z~^2 (eval, invert) and Z (mirrored integrand)
     m = OdeLadder(T, 3.0, 0.0)
+    z_bound, zsq_bound = _table_bounds(m.lo, m.hi)
     rng = np.random.default_rng([20240817, int(T)])
-    ts = T + 0.1 + 2.8 * rng.random(200)
-    gap = np.abs(m._slope(ts) - rscore.z_tilde_sq_many(ts))
-    fine = np.arange(T, T + 3.0, 1e-3)
-    max_fprime = np.abs(np.gradient(rscore.z_tilde_sq_many(fine), 1e-3)).max()
-    top = T + 3.0
-    N = math.floor(math.sqrt(top / (2 * math.pi)))
-    A = (2.0 * np.sum(np.arange(1, N + 1) ** -0.5)) ** 2 / math.log(T)
-    w = math.log(N) * PANEL_WIDTH
-    tail = 4.0 * A * sum((w / 2) ** k / math.factorial(k)
-                         for k in range(PANEL_DEGREE + 1, PANEL_DEGREE + 30))
-    assert gap.max() <= 2.0 * np.spacing(top) * max_fprime + tail
+    ts = T + 0.1 + 2.8 * rng.random(2000)
+    z = rscore.hardy_z_many(ts)
+    assert np.abs(m._slope(ts) - z * z / np.log(ts)).max() <= zsq_bound
+    assert np.abs(m.z(ts) - z).max() <= z_bound
+
+
+@pytest.mark.parametrize("T", [1e6, 1e7, 9.9e7])
+def test_context_z_table_matches_kernel(T):
+    table = harness.ExperimentContext(
+        harness.ExperimentConfig(T=T, H_override=3.0)).z_table
+    lo, top = table.cuts[0], table.cuts[-1]
+    z_bound, _ = _table_bounds(lo, top)
+    ts = lo + (top - lo) * np.random.default_rng([20240817, int(T)]).random(2000)
+    assert np.abs(table(ts) - rscore.hardy_z_many(ts)).max() <= z_bound
+
+
+def test_panel_table_rejects_points_off_its_domain():
+    cuts, nodes = panel_nodes(1e6, 1e6 + 1.0)
+    assert nodes.dtype == np.longdouble
+    assert nodes[0] == cuts[0] and nodes[-1] == cuts[-1]
+    assert np.all(np.diff(nodes) > 0)
+    table = PanelTable(cuts, rscore.hardy_z_many(nodes))
+    assert np.all(np.isfinite(table(np.array(cuts))))
+    for t in (np.nextafter(cuts[0], 0.0), np.nextafter(cuts[-1], np.inf), math.nan):
+        with pytest.raises(ValueError):
+            table(np.array([1e6 + 0.5, t]))
+
+
+def test_context_z_table_holds_both_g_sets():
+    ctx = harness.ExperimentContext(harness.ExperimentConfig(T=1e6, H_override=20.0))
+    lo, hi = ctx.z_table.cuts[[0, -1]]
+    for c in (ctx.g1, ctx.g2):
+        assert lo < c.lows[0] and c.highs[-1] < hi
 
 
 @pytest.mark.parametrize("T", [1e6, 9.9e7])

@@ -71,7 +71,7 @@ def test_empty_collection_rejected():
 def test_single_interval_collection_reduces_to_interval():
     c = IntervalCollection(((0.0, math.pi),))
     assert integrate_collection(np.sin, c, TIGHT) == _worklist_reference(
-        np.sin, c, TIGHT, [])
+        np.sin, c, TIGHT)
 
 
 def test_deterministic_outcomes():
@@ -167,7 +167,7 @@ def test_additivity_within_contract_tolerances(a, w1, w2, tol):
        cuts=st.lists(st.floats(0.0, 10.0, allow_subnormal=False), max_size=12),
        max_depth=st.integers(1, 40))
 def test_outcome_invariant_under_integrand_batching(chunk_seed, cuts, max_depth):
-    c = IntervalCollection(((0.0, 2.5), (3.0, 7.0), (7.0, 10.0)))
+    c = _split_at(IntervalCollection(((0.0, 2.5), (3.0, 7.0), (7.0, 10.0))), cuts)
     q = QuadSpec(rel_tol=1e-11, abs_tol=1e-11, max_depth=max_depth)
     rng = np.random.default_rng(chunk_seed)
 
@@ -176,8 +176,8 @@ def test_outcome_invariant_under_integrand_batching(chunk_seed, cuts, max_depth)
         stops = np.sort(rng.integers(0, x.size + 1, size=rng.integers(0, 6)))
         return np.concatenate([_wiggly(p) for p in np.split(x, stops)])
 
-    ref = integrate_collection(_wiggly, c, q, initial_cuts=cuts)
-    assert integrate_collection(chunked, c, q, initial_cuts=cuts) == ref
+    ref = integrate_collection(_wiggly, c, q)
+    assert integrate_collection(chunked, c, q) == ref
 
 
 def test_oscillation_safety_node_density():
@@ -234,13 +234,20 @@ def test_transform_u_hypothesis_enforced(substitution):
         substitution(m, np.sin, T, 2.0 * T / math.log(T), QuadSpec())
 
 
-def _worklist_reference(f, c, q, cuts):
-    """The adaptive loop over a Python list of (lo, hi, depth, value, err)
-    tuples: a reference for the array loop, with the same arithmetic."""
-    panels = []
+def _split_at(c, cuts):
+    """c with each interval cut at the points of cuts inside it: touching
+    intervals that start the adaptive loop on more panels."""
+    pieces = []
     for lo, hi in c.intervals:
         inner = [lo] + sorted({x for x in cuts if lo < x < hi}) + [hi]
-        panels += [(a, b, 0) for a, b in zip(inner, inner[1:])]
+        pieces += zip(inner, inner[1:])
+    return IntervalCollection(tuple(pieces), c.label)
+
+
+def _worklist_reference(f, c, q):
+    """The adaptive loop over a Python list of (lo, hi, depth, value, err)
+    tuples: a reference for the array loop, with the same arithmetic."""
+    panels = [(lo, hi, 0) for lo, hi in c.intervals]
     pending, live, evaluations, subdivisions = sorted(panels), [], 0, 0
     while True:
         value, err, n = _panel_estimates(f, np.array([p[0] for p in pending]),
@@ -288,7 +295,6 @@ def test_unreachable_tolerance_stops_early():
        cuts=st.lists(st.floats(0.0, 10.0, allow_subnormal=False), max_size=12),
        max_depth=st.integers(1, 6), tol=st.sampled_from([1e-5, 1e-9, 1e-13]))
 def test_array_loop_matches_tuple_worklist(f, cuts, max_depth, tol):
-    c = IntervalCollection(((0.0, 2.5), (3.0, 7.0), (7.0, 10.0)))
+    c = _split_at(IntervalCollection(((0.0, 2.5), (3.0, 7.0), (7.0, 10.0))), cuts)
     q = QuadSpec(rel_tol=tol, abs_tol=tol, max_depth=max_depth)
-    assert (integrate_collection(f, c, q, initial_cuts=cuts)
-            == _worklist_reference(f, c, q, cuts))
+    assert integrate_collection(f, c, q) == _worklist_reference(f, c, q)

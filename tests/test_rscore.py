@@ -108,6 +108,25 @@ def test_hardy_z_matches_oracle_spot_checks():
         assert z == pytest.approx(hardy_z_oracle(float(t)), abs=tol)
 
 
+@pytest.mark.parametrize("base", [1e6, 9.9e7])
+def test_hardy_z_many_evaluates_a_longdouble_t_exactly(base):
+    # t = base + 1/3 is not a double.  The kernel's own truncation error is
+    # smooth in t and cancels from a difference at two points ulp(t) apart,
+    # so Z(t) - Z(double(t)) must match mpmath's at the exact values; a
+    # kernel that rounded t to double would return a difference of 0
+    import mpmath as mp
+
+    t_ld = np.longdouble(base) + np.longdouble(1) / 3
+    t_d = float(t_ld)
+    low = float(t_ld - np.longdouble(t_d))
+    assert low != 0.0
+    with mp.workdps(30):
+        ref = float(mp.siegelz(mp.mpf(t_d) + mp.mpf(low)) - mp.siegelz(mp.mpf(t_d)))
+    fast = hardy_z_many(np.array([t_ld, t_d]))
+    assert abs(ref) > 1e-10
+    assert abs((fast[0] - fast[1]) - ref) <= 0.01 * abs(ref)
+
+
 def test_hardy_z_same_sign_as_oracle_at_low_end():
     # consistency at the bottom of the fast range
     ts = np.array([150.0, 250.0, 1000.0])
