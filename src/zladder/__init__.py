@@ -3,7 +3,6 @@ grid construction, Jacob's-ladder models, adaptive quadrature, and the
 verification harness tying them together."""
 
 from .gridsets import (
-    GramLikePoint,
     WindowSpec,
     build_g1,
     build_g2,

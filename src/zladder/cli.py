@@ -60,10 +60,10 @@ def _finish(cfg, reports, t0, name) -> int:
 
 
 def _cmd_grid(args, cfg) -> int:
-    points = grid_range(cfg.window)
+    nus, ts = grid_range(cfg.window)
     _write_csv(Path(cfg.output_dir) / "grid.csv", ["nu", "tau", "t"],
-               [[g.nu, repr(g.tau), repr(g.t)] for g in points])
-    print(f"{len(points)} grid points in [{cfg.T}, {cfg.T + cfg.window.H}]")
+               [[nu, "0.0", repr(t)] for nu, t in zip(nus.tolist(), ts.tolist())])
+    print(f"{ts.size} grid points in [{cfg.T}, {cfg.T + cfg.window.H}]")
     return 0
 
 
@@ -82,7 +82,7 @@ def _cmd_ladder(args, cfg) -> int:
     model = ExperimentContext(cfg).ladder
     w = cfg.window
     lo, hi = model.invert(np.array([w.T, w.T + w.H]))
-    path = Path(cfg.output_dir) / f"ladder-{model.kind}.csv"
+    path = Path(cfg.output_dir) / "ladder-ode.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
     ladder_mod.save_ladder_csv(model, path, lo, hi)
     print(f"wrote {path} over the mirrored window [{lo:.3f}, {hi:.3f}]")
@@ -91,7 +91,7 @@ def _cmd_ladder(args, cfg) -> int:
 
 def _cmd_integrate(args, cfg) -> int:
     t0 = time.time()
-    ctx = ExperimentContext(cfg)
+    ctx = harness.integrating_context(cfg)
     coll = ctx.g1 if args.set == "g1" else ctx.g2
     out = integrate_collection(ctx.z_table, coll, cfg.quad)
     sgn = 1.0 if args.set == "g1" else -1.0
@@ -130,17 +130,22 @@ def _cmd_scan_shape(args, cfg) -> int:
 
 
 def _cmd_report(args, cfg) -> int:
-    paths = sorted(Path(cfg.output_dir).glob("*.json"))
-    if not paths:
+    rows = harness.merge_reports(Path(cfg.output_dir).glob("*.json"))
+    if not rows:
         print("no report files found", file=sys.stderr)
         return 1
-    rows = harness.merge_reports(paths)
     header = ["T", "H", "x", "y", "experiment_id", "measured", "predicted",
               "paper_eq", "verdict", "source"]
     _write_csv(Path(cfg.output_dir) / "summary.csv", header,
                [[row[k] for k in header] for row in rows])
-    print(f"merged {len(paths)} report files into summary.csv ({len(rows)} rows)")
+    print(f"merged {len({row['source'] for row in rows})} report files into "
+          f"summary.csv ({len(rows)} rows)")
     return 0
+
+
+def _usage_error(args, exc) -> int:
+    print(f"zladder {args.command}: {exc}", file=sys.stderr)
+    return 2
 
 
 def run_cli(argv=None) -> int:
@@ -172,9 +177,11 @@ def run_cli(argv=None) -> int:
         cfg = harness.config_from_file(
             args.config, {key: getattr(args, key) for _, key, _ in _COMMON_FLAGS})
     except (OSError, ValueError) as exc:
-        print(f"zladder {args.command}: {exc}", file=sys.stderr)
-        return 2
-    return handlers[args.command](args, cfg)
+        return _usage_error(args, exc)
+    try:
+        return handlers[args.command](args, cfg)
+    except harness.UsageError as exc:
+        return _usage_error(args, exc)
 
 
 def main():

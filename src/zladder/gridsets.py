@@ -35,15 +35,6 @@ class SolverError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class GramLikePoint:
-    """One solution t_nu(tau) of theta(t) = pi*nu + tau."""
-
-    nu: int
-    tau: float
-    t: float
-
-
-@dataclass(frozen=True)
 class WindowSpec:
     """Observation window [T, T+H]; H defaults to T^(1/6 + 2*epsilon)."""
 
@@ -127,16 +118,15 @@ def invert_theta(targets):
                             np.full_like(t, lo), np.full_like(t, hi), t)
 
 
-def grid_range(w: WindowSpec) -> list[GramLikePoint]:
-    """All classical grid points t_nu (tau = 0) with T <= t_nu <= T + H."""
+def grid_range(w: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The classical grid points t_nu (tau = 0) with T <= t_nu <= T + H, as
+    the arrays (nus, ts)."""
     nu_lo = int(math.ceil(theta(w.T) / math.pi))
     nu_hi = int(math.floor(theta(w.T + w.H) / math.pi))
-    if nu_hi < nu_lo:
-        return []
     nus = np.arange(nu_lo, nu_hi + 1)
     ts = invert_theta(math.pi * nus)
     keep = (ts >= w.T) & (ts <= w.T + w.H)
-    return [GramLikePoint(int(nu), 0.0, float(t)) for nu, t in zip(nus[keep], ts[keep])]
+    return nus[keep], ts[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +136,10 @@ def grid_range(w: WindowSpec) -> list[GramLikePoint]:
 def _build_g(w: WindowSpec, half_width: float, parity: int, label: str) -> IntervalCollection:
     if not 0.0 < half_width <= math.pi / 2.0:
         raise ValueError("half-width must lie in (0, pi/2]")
-    points = [g for g in grid_range(w) if g.nu % 2 == parity]
-    if not points:
+    nus, _ = grid_range(w)
+    nus = nus[nus % 2 == parity]
+    if not nus.size:
         return IntervalCollection((), label)
-    nus = np.array([g.nu for g in points])
     los = invert_theta(math.pi * nus - half_width)
     his = invert_theta(math.pi * nus + half_width)
     return IntervalCollection(tuple(zip(los, his)), label)

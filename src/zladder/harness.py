@@ -54,6 +54,11 @@ RATIO_TOL = 0.15
 SHAPE_X_GRID = tuple(k * math.pi / 16 for k in range(1, 9))
 
 
+class UsageError(ValueError):
+    """A valid config that an experiment cannot run on: the CLI reports it
+    as a usage error (exit 2), not as a failed verdict."""
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     T: float = 1.0e6
@@ -167,7 +172,7 @@ class ExperimentContext:
         self.w = cfg.window
         self.g1 = build_g1(self.w, cfg.x)
         self.g2 = build_g2(self.w, cfg.y)
-        self.grid_cuts = np.array([g.t for g in grid_range(self.w)])
+        self.grid_cuts = grid_range(self.w)[1]
         self._mirrors: dict = {}
         self._mirrored_integrals: dict = {}
 
@@ -237,13 +242,18 @@ class ExperimentContext:
 # experiments
 # ---------------------------------------------------------------------------
 
-def _context(cfg: ExperimentConfig, ctx: ExperimentContext | None) -> ExperimentContext:
-    """ctx, or a new context for cfg; a context of another config is refused
-    rather than mixed with cfg."""
+def integrating_context(cfg: ExperimentConfig,
+                        ctx: ExperimentContext | None = None) -> ExperimentContext:
+    """ctx, or a new context for cfg, for an experiment that integrates over
+    G1 and G2.  A context of another config is refused rather than mixed
+    with cfg, and a window without a G1 or a G2 interval raises UsageError."""
     if ctx is None:
-        return ExperimentContext(cfg)
-    if ctx.cfg != cfg:
+        ctx = ExperimentContext(cfg)
+    elif ctx.cfg != cfg:
         raise ValueError("ctx was built from a different ExperimentConfig")
+    if not (len(ctx.g1) and len(ctx.g2)):
+        raise UsageError(f"the window [{ctx.w.T!r}, {ctx.w.T + ctx.w.H!r}] holds "
+                         "no G1 or no G2 interval; widen H")
     return ctx
 
 
@@ -257,7 +267,7 @@ def _quad_meta(outcome) -> dict:
 
 def verify_theorem(cfg: ExperimentConfig, ctx: ExperimentContext | None = None) -> list[VerificationReport]:
     """Direct and mirrored mean-value integrals plus the substitution residual."""
-    ctx = _context(cfg, ctx)
+    ctx = integrating_context(cfg, ctx)
     H = ctx.w.H
     budget = mean_value_budget(cfg)
     q = cfg.quad
@@ -291,7 +301,7 @@ def verify_theorem(cfg: ExperimentConfig, ctx: ExperimentContext | None = None) 
 
 def verify_corollaries(cfg: ExperimentConfig, ctx: ExperimentContext | None = None) -> list[VerificationReport]:
     """Union/difference integrals over the mirrored sets, and coverage."""
-    ctx = _context(cfg, ctx)
+    ctx = integrating_context(cfg, ctx)
     H = ctx.w.H
     budget = mean_value_budget(cfg)
     m1 = ctx.mirrored_integral(ctx.g1)
@@ -358,8 +368,8 @@ def verify_corollaries(cfg: ExperimentConfig, ctx: ExperimentContext | None = No
 def verify_sign_area(cfg: ExperimentConfig, ctx: ExperimentContext | None = None) -> list[VerificationReport]:
     """Area-equality law for the sign partition of Z(phi_1) * Z~^2."""
     if not math.isclose(cfg.x, cfg.y, rel_tol=0.0, abs_tol=1e-12):
-        raise ValueError("verify_sign_area requires x == y")
-    ctx = _context(cfg, ctx)
+        raise UsageError("verify_sign_area requires x == y")
+    ctx = integrating_context(cfg, ctx)
     q = cfg.quad
     H = ctx.w.H
     # Z~^2 > 0 off the zeros of Z, so the integrand has the sign of
@@ -405,7 +415,7 @@ def scan_shape(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
 
     Returns (rows, report) where rows are (x, measured, predicted) tuples.
     """
-    ctx = _context(cfg, ctx)
+    ctx = integrating_context(cfg, ctx)
     H = ctx.w.H
     rows = []
     converged = True
@@ -470,10 +480,13 @@ def write_report(path, cfg: ExperimentConfig, reports: list[VerificationReport],
 
 
 def merge_reports(paths) -> list[dict]:
-    """Flatten prior run files into rows keyed by (T, H, x, y)."""
+    """Flatten the report files among paths into rows keyed by (T, H, x, y);
+    other JSON files are skipped."""
     rows = []
     for p in sorted(map(str, paths)):
         payload = json.loads(Path(p).read_text())
+        if not {"config", "reports"} <= payload.keys():
+            continue  # not a report: interval files share the directory
         c = payload["config"]
         H = c.get("H_override")
         if H is None:

@@ -5,12 +5,13 @@ here it is represented by two surrogates:
 
 * an asymptotic model  phi_1(t) = t - (1 - gamma) * li(t), capturing the
   global geometry t - phi_1(t) ~ (1 - gamma) * pi(t) (the separation law);
-* an ODE model whose derivative is exactly Z~^2(t) and whose value is the
-  running integral of Z~^2 from an anchor supplied by the asymptotic model.
-  This is the model under which the Z~^2 change of variables is an identity.
-  Z is sampled once, when the model is built, and fitted into two tables of
-  Chebyshev panels, Z and Z~^2; values, inversion and the Z of the mirrored
-  integrand are then answered from those tables.
+* an ODE model whose value is the running integral of Z~^2 from an anchor
+  supplied by the asymptotic model.  Z is sampled once, when the model is
+  built, and fitted into two tables of Chebyshev panels, Z and Z~^2; the
+  derivative is the Z~^2 table, which is exactly the derivative of the
+  values integrated from it, so the Z~^2 change of variables is an identity
+  under this model.  Values, derivative, inversion and the Z of the mirrored
+  integrand are all answered from the two tables.
 
 A PanelTable is the one interpolant of the package: Chebyshev panels fitted
 from samples at longdouble nodes (dense output in the sense of Hairer, Norsett
@@ -168,7 +169,6 @@ def prime_pi(x: float) -> int:
 class LadderModel:
     """Increasing differentiable model of phi_1 on a working range."""
 
-    kind: str
     lo: float
     hi: float
 
@@ -180,9 +180,9 @@ class LadderModel:
 
     def _check_range(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t < self.lo - 1e-9) or np.any(t > self.hi + 1e-9):
+        if not np.all((t >= self.lo) & (t <= self.hi)):
             raise LadderRangeError(
-                f"t outside model range [{self.lo!r}, {self.hi!r}]"
+                f"t outside model range [{self.lo!r}, {self.hi!r}], or NaN"
             )
         return t
 
@@ -195,7 +195,7 @@ class LadderModel:
     def invert(self, y, max_iter: int = 80):
         """Monotone inversion: return t with eval(t) = y (scalar or array).
 
-        solve_increasing on eval and _slope from the model's initial bracket:
+        solve_increasing on eval and deriv from the model's initial bracket:
         each t is the double nearest the preimage, and a point still open
         after ``max_iter`` rounds raises gridsets.SolverError.
         """
@@ -206,13 +206,9 @@ class LadderModel:
                 f"value outside model image [{flo!r}, {fhi!r}]"
             )
         a, b = self._initial_bracket(y_arr)
-        t = solve_increasing(self.eval, self._slope, y_arr, a, b, 0.5 * (a + b),
+        t = solve_increasing(self.eval, self.deriv, y_arr, a, b, 0.5 * (a + b),
                              max_iter)
         return t if np.asarray(y).ndim else float(t[0])
-
-    def _slope(self, t):
-        """Newton slope for invert: d eval / dt."""
-        return self.deriv(t)
 
     def _initial_bracket(self, y_arr):
         return np.full_like(y_arr, self.lo), np.full_like(y_arr, self.hi)
@@ -221,14 +217,11 @@ class LadderModel:
 class AsymptoticLadder(LadderModel):
     """phi_1(t) = t - (1 - gamma) li(t); derivative 1 - (1 - gamma)/ln t."""
 
-    kind = "asymptotic"
-
     def __init__(self, lo: float, hi: float):
         if not 10.0 <= lo < hi:
             raise ValueError("asymptotic ladder requires 10 <= lo < hi")
         self.lo = float(lo)
         self.hi = float(hi)
-        self.anchor = None
 
     def eval(self, t):
         scalar = np.asarray(t).ndim == 0
@@ -244,19 +237,17 @@ class AsymptoticLadder(LadderModel):
 
 
 class OdeLadder(LadderModel):
-    """Model with deriv(t) = Z~^2(t) exactly and eval(t) = anchor value plus
-    the integral of Z~^2 from the anchor.
+    """Model with eval(t) = anchor value plus the integral of Z~^2 from the
+    anchor, and deriv(t) = d eval / dt exactly.
 
     The build samples Z once at the nodes of panel_nodes and fits two
     PanelTables on them: Z itself (z) and Z~^2 = Z^2 / ln t.  Panel integrals
     of the Z~^2 interpolant come from its coefficients (Clenshaw-Curtis) and
     are accumulated in extended precision into checkpoint values; eval adds
-    the closed-form integral of the interpolant from the panel start.  eval,
-    z and the inversion slope make no Z evaluation; deriv evaluates Z~^2
-    itself.
+    the closed-form integral of the interpolant from the panel start, and
+    deriv is the interpolant itself.  After the build no method calls the Z
+    kernel.
     """
-
-    kind = "ode"
 
     def __init__(self, anchor_t: float, span: float, anchor_value: float):
         if span <= 0:
@@ -281,28 +272,20 @@ class OdeLadder(LadderModel):
     def image(self) -> tuple[float, float]:
         return float(self._cp_phi[0]), float(self._cp_phi[-1])
 
-    def _clip(self, t):
-        return np.clip(self._check_range(t), self.lo, self.hi)
-
     def eval(self, t):
         scalar = np.asarray(t).ndim == 0
-        idx, x = self._zsq.locate(self._clip(t))
+        idx, x = self._zsq.locate(self._check_range(t))
         out = self._cp_phi[idx] + self._zsq.hw[idx] * _clenshaw(self._integral, idx, x)
         return float(out[0]) if scalar else out
 
     def deriv(self, t):
         scalar = np.asarray(t).ndim == 0
-        t = self._check_range(t)
-        out = rscore.z_tilde_sq_many(t)
+        out = self._zsq(self._check_range(t))
         return float(out[0]) if scalar else out
 
     def z(self, t):
         """Z at an array of t from the interpolant of the build's samples."""
-        return self._z(self._clip(t))
-
-    def _slope(self, t):
-        # the interpolant of Z~^2, which is exactly d eval / dt
-        return self._zsq(self._clip(t))
+        return self._z(self._check_range(t))
 
     def _initial_bracket(self, y_arr):
         # checkpoints are monotone nondecreasing, so they bracket the preimage
@@ -360,16 +343,14 @@ def separation_rho(w, m: LadderModel):
 CSV_STEP = 1.0
 
 
-def save_ladder_csv(m: LadderModel, path, lo: float, hi: float):
-    """Write a (t, phi1, phi1') table over [lo, hi], evenly spaced at most
-    CSV_STEP apart, with a header line declaring kind, anchor, and tolerance
-    of the table."""
+def save_ladder_csv(m: OdeLadder, path, lo: float, hi: float):
+    """Write a (t, phi1, phi1') table of the ODE ladder over [lo, hi], evenly
+    spaced at most CSV_STEP apart, with a header line declaring the anchor."""
     ts = np.linspace(lo, hi, int(math.ceil((hi - lo) / CSV_STEP)) + 1)
     phi = np.asarray(m.eval(ts))
     dphi = np.asarray(m.deriv(ts))
-    anchor = getattr(m, "anchor", None)
     with open(path, "w") as fh:
-        fh.write(f"# kind={m.kind} anchor={anchor!r} tol=1e-9\n")
+        fh.write(f"# kind=ode anchor={m.anchor!r}\n")
         fh.write("t,phi1,dphi1\n")
         for a, b, c in zip(ts, phi, dphi):
             fh.write(f"{float(a)!r},{float(b)!r},{float(c)!r}\n")

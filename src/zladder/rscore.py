@@ -1,5 +1,5 @@
-"""Fast evaluation of the Riemann-Siegel theta function, the Hardy Z signal,
-and the normalized square Z~^2(t) = Z(t)^2 / ln t.
+"""Fast evaluation of the Riemann-Siegel theta function and the Hardy Z
+signal.
 
 Two evaluation grades live here:
 
@@ -223,14 +223,6 @@ def hardy_z_many(t, *, correction_terms: int = RS_MAX_CORRECTION_TERMS):
         sign = np.where(N % 2 == 1, 1.0, -1.0)
         out = out + sign * R / np.sqrt(a)
     return out
-
-
-def z_tilde_sq_many(t):
-    """Vectorized Z~^2(t) = Z(t)^2 / ln t (the asymptotically negligible
-    1 + O(ln ln t / ln t) normalization is truncated to 1)."""
-    t = np.asarray(t, dtype=float)
-    z = hardy_z_many(t)
-    return z * z / np.log(t)
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,9 @@ def _substitution(m, f, T, U, q):
     """Both sides of the change of variables t -> phi(t) of a ladder model m:
     f(phi(t)) * phi'(t) over the preimage of [T, T + U], and f over [T, T + U].
 
-    For a model whose derivative is exactly the integrand that built its
-    eval (the ODE model), the two agree up to quadrature error however far
-    the model is from the true ladder.
+    The ODE model's deriv is the Z~^2 table whose integral is its eval, so
+    for it the two agree up to quadrature error however far the model is
+    from the true ladder.
     """
     if not 0.0 < U <= T / math.log(T):
         raise ValueError("U must lie in (0, T / ln T]")

@@ -143,8 +143,8 @@ def test_criterion_7_kernel_accuracy():
 def test_criterion_8_structural_invariants(default_ctx, rng):
     w = default_ctx.w
     # grid residuals
-    pts = grid_range(w)
-    res = max(abs(theta(g.t) - math.pi * g.nu) for g in pts)
+    nus, ts = grid_range(w)
+    res = max(abs(theta(t) - math.pi * nu) for nu, t in zip(nus.tolist(), ts.tolist()))
     assert res <= 1e-10 * (w.T + w.H)
     # disjointness across the union of both set systems
     u = default_ctx.g1.union(default_ctx.g2)

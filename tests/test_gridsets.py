@@ -106,21 +106,19 @@ def test_window_spec_defaults_and_validation():
 
 def test_grid_range_count_and_coverage():
     w = WindowSpec(1e6, H_override=1e3)
-    pts = grid_range(w)
+    nus, ts = grid_range(w)
     # frozen by brute-force enumeration; density estimate H * theta'(T) / pi
-    assert len(pts) == 1906
+    assert len(ts) == len(nus) == 1906
     est = w.H * theta_deriv(w.T) / math.pi
-    assert abs(len(pts) - est) <= 2
-    nus = [g.nu for g in pts]
-    assert nus == list(range(nus[0], nus[0] + len(pts)))
-    ts = np.array([g.t for g in pts])
+    assert abs(len(ts) - est) <= 2
+    assert nus.tolist() == list(range(nus[0], nus[0] + len(nus)))
     assert np.all((ts >= w.T) & (ts <= w.T + w.H))
     assert np.all(np.diff(ts) > 0)
 
 
 def test_grid_range_empty_for_tiny_window():
-    pts = grid_range(WindowSpec(1e3, H_override=1e-4))
-    assert pts == []
+    nus, ts = grid_range(WindowSpec(1e3, H_override=1e-4))
+    assert nus.size == 0 and ts.size == 0
 
 
 # ---------------------------------------------------------------------------

@@ -150,10 +150,12 @@ def test_verify_theorem_small_window_substitution_exact():
         assert r.paper_eq in EQ_TAGS
 
 
-def test_ode_ladder_calls_no_kernel_after_build(monkeypatch):
+def test_ode_ladder_calls_no_kernel_after_build(monkeypatch, tmp_path):
     # after the two table builds, nothing calls the kernel: not the ladder,
-    # and not the mirrored integrand over the preimage of the Z table
-    ctx = harness.ExperimentContext(ExperimentConfig(**SMALL))
+    # not the mirrored integrand over the preimage of the Z table, and not
+    # the experiments on the built context
+    cfg = ExperimentConfig(**SMALL)
+    ctx = harness.ExperimentContext(cfg)
     m, table = ctx.ladder, ctx.z_table
     kernel = rscore.hardy_z_many
     points = []
@@ -164,10 +166,15 @@ def test_ode_ladder_calls_no_kernel_after_build(monkeypatch):
 
     monkeypatch.setattr(rscore, "hardy_z_many", counting)
     ts = np.linspace(m.lo, m.hi, 1001)
+    m.deriv(ts)
     m.invert(m.eval(ts)[1:-1])
     ctx.mirrored(ctx.g1)
     lo, hi = m.invert(table.cuts[[0, -1]])
     ctx.pushforward_z(np.linspace(lo, hi, 1001)[1:-1])
+    ladder.save_ladder_csv(m, tmp_path / "ladder.csv", lo, hi)
+    for experiment in (harness.verify_theorem, harness.verify_corollaries,
+                       harness.verify_sign_area, harness.scan_shape):
+        experiment(cfg, ctx)
     assert sum(points) == 0
 
 
@@ -365,13 +372,27 @@ def test_cli_usage_error_exit_2():
     assert run_cli([]) == 2
 
 
-@pytest.mark.parametrize("flag, value", [("--x", "5"), ("--abs-tol", "nan")])
-def test_cli_bad_config_value_exits_2(tmp_path, capsys, flag, value):
+@pytest.mark.parametrize("cmd, flag, value", [
+    pytest.param("verify-theorem", "--x", "5", id="--x-5"),
+    pytest.param("verify-theorem", "--abs-tol", "nan", id="--abs-tol-nan"),
+    pytest.param("sign-area", "--x", "1.0", id="sign-area-x-not-y"),
+    # a window with no G1 or no G2 interval
+    *(pytest.param(cmd, "--H", "0.1", id=f"{cmd}-empty-g-sets")
+      for cmd in ("verify-theorem", "verify-corollaries", "sign-area",
+                  "scan-shape", "integrate")),
+])
+def test_cli_bad_config_value_exits_2(tmp_path, capsys, cmd, flag, value):
     # a bad value is a usage error (2), not a failed verdict (1)
-    assert run_cli(_argv("verify-theorem", tmp_path, flag, value)) == 2
+    assert run_cli(_argv(cmd, tmp_path, flag, value)) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
-    assert not (tmp_path / "verify-theorem.json").exists()
+    assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("cmd", ["grid", "gsets", "ladder", "verify-separation"])
+def test_cli_commands_without_integrals_run_on_empty_g_sets(tmp_path, cmd):
+    assert run_cli([cmd, "--T", "1e6", "--H", "0.1",
+                    "--out", str(tmp_path)]) == 0
 
 
 def test_cli_verify_separation(tmp_path):
@@ -432,6 +453,15 @@ def test_cli_report_merges(tmp_path):
     lines = (tmp_path / "summary.csv").read_text().splitlines()
     assert lines[0].startswith("T,H,x,y,experiment_id")
     assert len(lines) == 7  # header + six theorem rows
+
+
+def test_cli_report_skips_interval_files(tmp_path):
+    # gsets writes g1.json and g2.json next to the report files
+    assert run_cli(["verify-separation", "--T", "1e6", "--out", str(tmp_path)]) == 0
+    assert run_cli(_argv("gsets", tmp_path)) == 0
+    assert run_cli(["report", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "summary.csv").read_text().splitlines()
+    assert len(lines) == 2 and ",separation.rho," in lines[1]
 
 
 def test_cli_report_empty_dir(tmp_path):

@@ -1,4 +1,4 @@
-"""Theta, Hardy Z, and Z~^2: fast path against the high-precision oracle and
+"""Theta and Hardy Z: fast path against the high-precision oracle and
 the in-house Euler-Maclaurin zeta evaluator."""
 
 import math
@@ -13,7 +13,6 @@ from zladder.rscore import (
     theta,
     theta_deriv,
     theta_oracle,
-    z_tilde_sq_many,
     zeta_half_em,
 )
 
@@ -180,40 +179,6 @@ def test_rs_config_validation():
         hardy_z_many(np.array([1e6]), correction_terms=3)
     with pytest.raises(ValueError):
         hardy_z_many(np.array([1e6]), correction_terms=-1)
-
-
-# ---------------------------------------------------------------------------
-# z_tilde_sq
-# ---------------------------------------------------------------------------
-
-def test_z_tilde_sq_nonnegative():
-    ts = np.linspace(1e6, 1e6 + 50, 4001)
-    assert np.all(z_tilde_sq_many(ts) >= 0.0)
-
-
-def test_z_tilde_sq_vanishes_at_zero_of_z():
-    # bracket a sign change of Z, bisect it down, check the normalized square
-    def z(t):
-        return hardy_z_many(np.array([t]))[0]
-
-    lo, hi = 1e6, 1e6 + 1.0
-    zlo = z(lo)
-    while z(hi) * zlo > 0:
-        lo, hi = hi, hi + 1.0
-        zlo = z(lo)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if z(mid) * zlo <= 0:
-            hi = mid
-        else:
-            lo = mid
-    assert z_tilde_sq_many(np.array([0.5 * (lo + hi)]))[0] < 1e-18
-
-
-def test_z_tilde_sq_equals_z_squared_over_log():
-    t = np.array([12345.6])
-    assert z_tilde_sq_many(t)[0] == pytest.approx(
-        hardy_z_many(t)[0] ** 2 / math.log(12345.6), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
